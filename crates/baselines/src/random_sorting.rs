@@ -2,7 +2,7 @@
 //! splitters, randomized routing of keys into `√n`-sized groups, a second
 //! random splitter level within groups, and an interval redistribution.
 //! Constant rounds with high probability — empirically about half the
-//! deterministic algorithm's 37.
+//! paper's deterministic 37 (33 here, with Theorem 5.4's router inside).
 
 use crate::rand_exchange::{RandExchange, RxMsg};
 use cc_core::sorting::{KeyBatch, TaggedKey};
@@ -279,7 +279,7 @@ impl NodeMachine for RandomSortMachine {
 pub struct RandomSortOutcome {
     /// Per-node sorted batches.
     pub batches: Vec<Vec<TaggedKey>>,
-    /// Measurements — compare `comm_rounds` against the deterministic 37.
+    /// Measurements — compare `comm_rounds` against the deterministic 33.
     pub metrics: Metrics,
 }
 

@@ -171,7 +171,7 @@ fn main() {
         );
     }
 
-    // Sorting: the Theorem 4.5 (37-round) sorter. n = 1024 sorts a million
+    // Sorting: the Algorithm 4 (33-round) sorter. n = 1024 sorts a million
     // keys; skip it in quick mode to keep CI smoke runs short.
     let sort_sizes: &[usize] = if opts.quick {
         &[64, 256]

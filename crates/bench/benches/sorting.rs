@@ -1,4 +1,4 @@
-//! End-to-end simulated sorting: Theorem 4.5 (37 rounds) vs the
+//! End-to-end simulated sorting: Algorithm 4 (33 rounds) vs the
 //! randomized sample sort, plus the Algorithm 3 subset sort (E6/E7/E10).
 
 use cc_baselines::sort_randomized;

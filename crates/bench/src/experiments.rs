@@ -203,11 +203,12 @@ pub fn e5() {
     }
 }
 
-/// E6: Theorem 4.5 — sorting in 37 rounds, with step breakdown.
+/// E6: Algorithm 4 with Theorem 5.4's router in Step 6 — sorting in 33
+/// rounds, with step breakdown (the paper states 37 with Theorem 3.7).
 pub fn e6() {
     header(
         "E6",
-        "Thm 4.5: sorting = 37 rounds (paper: 0+1+8+2+0+16+8+2)",
+        "Alg 4 + Thm 5.4 router: sorting = 33 rounds (0+1+8+2+0+12+8+2; the paper states 37 with Thm 3.7)",
     );
     println!(
         "{:<10} {:>5} {:>7} {:>10} {:>14}",
@@ -231,7 +232,7 @@ pub fn e6() {
             );
         }
     }
-    println!("  schedule: 1 (sample) + 8 (Alg 3) + 2 (delimiters) + 16 (Thm 3.7) + 8 (Alg 3 ∥) + 2 (interval) = 37");
+    println!("  schedule: 1 (sample) + 8 (Alg 3) + 2 (delimiters) + 12 (Thm 5.4) + 8 (Alg 3 ∥) + 2 (interval) = 33");
 }
 
 /// E7: Algorithm 3 in 10 rounds; Lemma 4.3's bucket bound < 4·cap.
@@ -353,7 +354,7 @@ pub fn e10() {
     );
     println!(
         "{:>5} {:>8} {:>11} {:>8}",
-        "n", "det-37", "randomized", "gather"
+        "n", "det-33", "randomized", "gather"
     );
     for n in [16usize, 36, 64, 100] {
         let keys = wl::uniform_keys(n, 13);

@@ -1,9 +1,10 @@
 //! # cc-bench — the experiment harness
 //!
-//! Regenerates every quantitative claim of Lenzen (PODC 2013) as a table;
-//! see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
-//! recorded paper-vs-measured results. Run single experiments with
-//! `cargo run -p cc-bench --release --bin tables -- e1` (or `all`).
+//! Regenerates every quantitative claim of Lenzen (PODC 2013) as a table,
+//! one function per experiment in [`experiments`] (E1–E16), each printing
+//! the paper's claim in its header next to the measured values. Run single
+//! experiments with `cargo run -p cc-bench --release --bin tables -- e1`
+//! (or `all`).
 //!
 //! Wall-clock benchmarks live under `benches/` on the dependency-free
 //! [`harness`]; the flagship is `benches/engine.rs`, which measures the

@@ -10,8 +10,9 @@
 //!   **12 rounds** with `O(n log n)` work and memory per node
 //!   (Theorem 5.4), and the §6.1 large-message wrapper.
 //! * **Sorting** ([`sorting`]): Problem 4.1 — every node holds up to `n`
-//!   keys and must learn its batch in the global order — solved in **37
-//!   rounds** (Theorem 4.5) on top of the routing machinery; the
+//!   keys and must learn its batch in the global order — solved in **33
+//!   rounds** (Algorithm 4 with Theorem 5.4's router in Step 6; the paper
+//!   states 37 with Theorem 3.7) on top of the routing machinery; the
 //!   `√n`-node subset sort of Algorithm 3 (**10 rounds**, Lemma 4.4); the
 //!   global-index variant of Corollary 4.6 with constant-round selection
 //!   and mode; and the §6.3 small-key protocol with 1–2-bit messages.

@@ -452,8 +452,19 @@ pub struct OptRouterMachine<P = u64> {
 impl<P: RoutePayload> OptRouterMachine<P> {
     /// Builds the machine for node `me` of `instance`.
     pub fn new(instance: &RoutingInstance<P>, me: NodeId) -> Self {
-        let n = instance.n();
-        let my_msgs = instance.sends(me.index()).to_vec();
+        Self::from_messages(instance.n(), me, instance.sends(me.index()).to_vec(), 0)
+    }
+
+    /// Builds the machine for node `me` from its raw send list — used when
+    /// the instance exists only distributed across nodes (e.g. Algorithm
+    /// 4's Step 6). `tag` disambiguates embedded router instances in the
+    /// common-knowledge cache: a square `n` uses scope tag `tag`, the
+    /// split cover `tag + 1` / `tag + 2` for its two square instances and
+    /// `tag + 3` for the cross procedure, so concurrent or sequential
+    /// instances need tags at least 4 apart. Standalone runs use 0. The
+    /// caller is responsible for the load bounds the validated constructor
+    /// would otherwise check.
+    pub fn from_messages(n: usize, me: NodeId, my_msgs: Vec<RoutedMessage<P>>, tag: u64) -> Self {
         if n <= 3 {
             let mut queues: Vec<Vec<RoutedMessage<P>>> = vec![Vec::new(); n];
             for m in my_msgs {
@@ -470,7 +481,7 @@ impl<P: RoutePayload> OptRouterMachine<P> {
         }
         if is_square(n) {
             return OptRouterMachine {
-                inner: OptInner::Square(OptSquareRouter::new(n, me.index(), my_msgs, 0)),
+                inner: OptInner::Square(OptSquareRouter::new(n, me.index(), my_msgs, tag)),
             };
         }
         let q = isqrt(n);
@@ -499,9 +510,15 @@ impl<P: RoutePayload> OptRouterMachine<P> {
             inner: OptInner::Split {
                 q2,
                 off2,
-                i1: (v < q2).then(|| OptSquareRouter::new(q2, v, m1, 1)),
-                i2: (v >= off2).then(|| OptSquareRouter::new(q2, v - off2, m2, 2)),
-                cross: CrossRouter::new((0..off2).collect(), (q2..n).collect(), mx, 3),
+                i1: (v < q2).then(|| OptSquareRouter::new(q2, v, m1, tag.wrapping_add(1))),
+                i2: (v >= off2)
+                    .then(|| OptSquareRouter::new(q2, v - off2, m2, tag.wrapping_add(2))),
+                cross: CrossRouter::new(
+                    (0..off2).collect(),
+                    (q2..n).collect(),
+                    mx,
+                    tag.wrapping_add(3),
+                ),
                 out1: None,
                 out2: None,
                 out3: None,

@@ -258,7 +258,10 @@ mod tests {
                 .comm_rounds()
                 <= 12
         );
-        assert!(service.sort(&keys).unwrap().metrics.comm_rounds() <= 37);
+        assert_eq!(
+            service.sort(&keys).unwrap().metrics.comm_rounds(),
+            u64::from(crate::sorting::FullSortMachine::ROUNDS)
+        );
         assert!(service.select(&keys, 40).is_ok());
         assert!(service.mode(&keys).is_ok());
         assert!(service.global_indices(&keys).is_ok());

@@ -1,6 +1,9 @@
-//! Algorithm 4 / Theorem 4.5: sorting up to `n²` keys in **37 rounds**.
+//! Algorithm 4 / Theorem 4.5: sorting up to `n²` keys in **33 rounds**.
 //!
-//! Round schedule (the paper's `0 + 1 + 8 + 2 + 0 + 16 + 8 + 2 = 37`):
+//! This is Algorithm 4 with Theorem 5.4's router in Step 6; the paper
+//! states 37 rounds with Theorem 3.7's. Step 6 is an instance of
+//! Problem 3.1, which §5 of the same paper solves in 12 rounds instead of
+//! 16, so the schedule is `0 + 1 + 8 + 2 + 0 + 12 + 8 + 2 = 33`:
 //!
 //! | rounds | step                                                        |
 //! |--------|-------------------------------------------------------------|
@@ -9,18 +12,22 @@
 //! | 2–9    | Step 3: [`SubsetSort`] of the sample on the first group (8) |
 //! | 10–11  | Step 4: delimiter dissemination via [`RelayBroadcast`] (2)  |
 //! | –      | Step 5 (local): split input by the delimiters               |
-//! | 12–27  | Step 6: route buckets to their groups — Theorem 3.7 (16)    |
-//! | 28–35  | Step 7: parallel [`SubsetSort`] within every group (8)      |
-//! | 36–37  | Step 8: order-preserving global redistribution (2)          |
+//! | 12–23  | Step 6: route buckets to their groups — Theorem 5.4 (12)    |
+//! | 24–31  | Step 7: parallel [`SubsetSort`] within every group (8)      |
+//! | 32–33  | Step 8: order-preserving global redistribution (2)          |
 //!
 //! Step 8's two-round claim needs every node to know every node's
-//! post-Step-7 holding; these counts exist inside each group four rounds
-//! into Step 7, and are disseminated by a one-round all-to-all broadcast
-//! *overlaid* on Step 7's traffic (one extra `O(log n)`-bit value per
-//! edge in round 32) — see DESIGN.md. The redistribution itself is a
-//! planning-free interval exchange: the key of global rank `r` travels
-//! via relay `r mod n` to the node owning rank `r`, with at most one
-//! message per edge in the second round.
+//! post-Step-7 holding, i.e. how many keys it will hold once its group
+//! has sorted. Algorithm 3 has announced the per-member bucket counts
+//! inside each group after its fourth round, so from then on every node
+//! knows its own final holding although its keys are still in flight. Each
+//! node broadcasts that one `O(log n)`-bit number to all `n` nodes in the
+//! next round, *overlaid* on Step 7's traffic (one extra value per edge in
+//! round 28). No round is added: by the time Step 7 ends, every node knows
+//! every holding and hence the global rank of every key it holds. The
+//! redistribution itself is a planning-free interval exchange: the key of
+//! global rank `r` travels via relay `r mod n` to the node owning rank
+//! `r`, with at most one message per edge in the second round.
 //!
 //! For general `n`, nodes are covered by `G = ⌈n/⌊√n⌋⌉` contiguous groups
 //! (the last possibly smaller), with group 0 sorting the sample —
@@ -28,7 +35,7 @@
 
 use crate::error::CoreError;
 use crate::exec::Exec;
-use crate::routing::{GMsg, RoutedMessage, RouterMachine};
+use crate::routing::{OGMsg, OptRouterMachine, RoutedMessage};
 use crate::sorting::keys::{KeyBatch, TaggedKey};
 use crate::sorting::subset_sort::{A3Msg, SubsetSort};
 use cc_primitives::{Driver, NodeGroup, RbMsg, RelayBroadcast};
@@ -44,8 +51,8 @@ pub enum FsMsg {
     Sort1(A3Msg),
     /// Step 4 traffic (delimiter dissemination).
     Delim(RbMsg<TaggedKey>),
-    /// Step 6 traffic (the embedded Theorem 3.7 router).
-    Route(Box<GMsg<KeyBatch>>),
+    /// Step 6 traffic (the embedded Theorem 5.4 router).
+    Route(Box<OGMsg<KeyBatch>>),
     /// Step 7 traffic (parallel group sorts).
     Sort2(A3Msg),
     /// Overlaid holding broadcast feeding Step 8.
@@ -91,7 +98,8 @@ pub struct NodeBatch {
     pub offset: u64,
 }
 
-/// Per-node machine of the 37-round sort (Theorem 4.5).
+/// Per-node machine of the 33-round sort (Algorithm 4 with Theorem 5.4's
+/// router in Step 6).
 pub struct FullSortMachine {
     n: usize,
     /// Group side `⌊√n⌋` and count `⌈n/g⌉`.
@@ -103,7 +111,7 @@ pub struct FullSortMachine {
     sort1: Option<SubsetSort>,
     rb: Option<RelayBroadcast<TaggedKey>>,
     delimiters: Vec<TaggedKey>,
-    router: Option<RouterMachine<KeyBatch>>,
+    router: Option<OptRouterMachine<KeyBatch>>,
     sort2: Option<SubsetSort>,
     holdings: Vec<u64>,
     held: Vec<TaggedKey>,
@@ -117,8 +125,9 @@ pub struct FullSortMachine {
 }
 
 impl FullSortMachine {
-    /// Total communication rounds of the sort (Theorem 4.5).
-    pub const ROUNDS: u32 = 37;
+    /// Total communication rounds of the sort for `n ≥ 4`: Theorem 4.5's
+    /// 37 with Step 6's 16-round router replaced by the 12-round one.
+    pub const ROUNDS: u32 = 33;
 
     /// Builds the machine for node `me` holding `keys`.
     ///
@@ -195,7 +204,7 @@ struct Demux {
     samples: Vec<(NodeId, TaggedKey)>,
     sort1: Vec<(NodeId, A3Msg)>,
     delim: Vec<(NodeId, RbMsg<TaggedKey>)>,
-    route: Vec<(NodeId, GMsg<KeyBatch>)>,
+    route: Vec<(NodeId, OGMsg<KeyBatch>)>,
     sort2: Vec<(NodeId, A3Msg)>,
     holdings: Vec<(NodeId, u64)>,
     r8a: Vec<(u64, TaggedKey)>,
@@ -340,9 +349,9 @@ impl NodeMachine for FullSortMachine {
                         }
                     }
                 }
-                let mut router = RouterMachine::from_messages(self.n, self.me, msgs, 0x60);
+                let mut router = OptRouterMachine::from_messages(self.n, self.me, msgs, 0x60);
                 let (base, outbox) = ctx.split();
-                let mut sub_out: Vec<(NodeId, GMsg<KeyBatch>)> = Vec::new();
+                let mut sub_out: Vec<(NodeId, OGMsg<KeyBatch>)> = Vec::new();
                 let mut sub_ctx = Ctx::from_parts(base.reborrow(), &mut sub_out);
                 router.on_start(&mut sub_ctx);
                 for (dst, m) in sub_out {
@@ -351,10 +360,10 @@ impl NodeMachine for FullSortMachine {
                 self.router = Some(router);
                 Step::Continue
             }
-            12..=27 => {
+            12..=23 => {
                 let router = self.router.as_mut().expect("router active");
                 let (base, outbox) = ctx.split();
-                let mut sub_out: Vec<(NodeId, GMsg<KeyBatch>)> = Vec::new();
+                let mut sub_out: Vec<(NodeId, OGMsg<KeyBatch>)> = Vec::new();
                 let mut sub_inbox = Inbox::from_messages(d.route);
                 let mut sub_ctx = Ctx::from_parts(base.reborrow(), &mut sub_out);
                 let step = router.on_round(&mut sub_ctx, &mut sub_inbox);
@@ -363,11 +372,11 @@ impl NodeMachine for FullSortMachine {
                 }
                 match step {
                     Step::Continue => {
-                        debug_assert!(call < 27, "router must finish by call 27");
+                        debug_assert!(call < 23, "router must finish by call 23");
                         Step::Continue
                     }
                     Step::Done(batches) => {
-                        debug_assert_eq!(call, 27, "router finishes exactly at call 27");
+                        debug_assert_eq!(call, 23, "router finishes exactly at call 23");
                         // Step 7: sort within my group, skipping the final
                         // redistribution.
                         let received: Vec<TaggedKey> =
@@ -393,7 +402,7 @@ impl NodeMachine for FullSortMachine {
                     }
                 }
             }
-            28..=35 => {
+            24..=31 => {
                 for (src, h) in d.holdings {
                     self.holdings[src.index()] = h;
                 }
@@ -403,7 +412,7 @@ impl NodeMachine for FullSortMachine {
                 for (dst, m) in step.sends {
                     outbox.push((dst, FsMsg::Sort2(m)));
                 }
-                if call == 31 {
+                if call == 27 {
                     // Overlay: my post-sort holding is known as soon as the
                     // in-group counts are announced; broadcast it so Step 8
                     // demands become global common knowledge.
@@ -412,12 +421,12 @@ impl NodeMachine for FullSortMachine {
                         .expect("counts are announced by sort2's fourth round");
                     ctx.broadcast(FsMsg::Holding(h));
                 }
-                if call < 35 {
+                if call < 31 {
                     debug_assert!(step.output.is_none());
                     return Step::Continue;
                 }
                 // Step 8, first leg: rank r travels via relay r mod n.
-                let out = step.output.expect("group sort completes at call 35");
+                let out = step.output.expect("group sort completes at call 31");
                 self.total = self.holdings.iter().sum();
                 self.q = self.total.div_ceil(self.n as u64).max(1);
                 let my_offset: u64 = self.holdings[..self.me.index()].iter().sum();
@@ -434,7 +443,7 @@ impl NodeMachine for FullSortMachine {
                 }
                 Step::Continue
             }
-            36 => {
+            32 => {
                 // Step 8, second leg: forward to the rank's owner.
                 ctx.charge_work(d.r8a.len() as u64);
                 for (rank, key) in d.r8a {
@@ -443,7 +452,7 @@ impl NodeMachine for FullSortMachine {
                 }
                 Step::Continue
             }
-            37 => {
+            33 => {
                 self.final_keys = d.r8b;
                 crate::sortkey::sort_by_u64_key(&mut self.final_keys, |&(rank, _)| rank);
                 let offset = self.q * self.me.index() as u64;
@@ -508,8 +517,9 @@ pub fn spec_for_sorting(n: usize) -> CliqueSpec {
         .with_max_rounds(96)
 }
 
-/// Sorts per-node key batches with Algorithm 4 (Theorem 4.5, 37 rounds),
-/// verifying the result against a local reference sort.
+/// Sorts per-node key batches with Algorithm 4 (Theorem 4.5) in 33
+/// rounds — Theorem 5.4's router in Step 6; the paper states 37 with
+/// Theorem 3.7's — verifying the result against a local reference sort.
 ///
 /// # Errors
 ///
@@ -605,17 +615,22 @@ pub(crate) fn sort_with_exec(
 mod tests {
     use super::*;
 
+    const ROUNDS: u64 = FullSortMachine::ROUNDS as u64;
+
     fn keys_for(n: usize, f: impl Fn(usize, usize) -> u64) -> Vec<Vec<u64>> {
         (0..n).map(|i| (0..n).map(|j| f(i, j)).collect()).collect()
     }
 
     #[test]
-    fn full_load_square_in_37_rounds() {
-        let n = 16;
-        let keys = keys_for(n, |i, j| ((i * 131 + j * 17) % 4096) as u64);
-        let out = sort_keys(&keys).unwrap();
-        assert_eq!(out.metrics.comm_rounds(), 37);
-        assert_eq!(out.total, (n * n) as u64);
+    fn full_load_takes_exactly_33_rounds() {
+        assert_eq!(ROUNDS, 33);
+        // Square (16, 25) and non-square (17) full loads.
+        for n in [16, 17, 25] {
+            let keys = keys_for(n, |i, j| ((i * 131 + j * 17) % 4096) as u64);
+            let out = sort_keys(&keys).unwrap();
+            assert_eq!(out.metrics.comm_rounds(), ROUNDS, "n={n}");
+            assert_eq!(out.total, (n * n) as u64);
+        }
     }
 
     #[test]
@@ -623,7 +638,7 @@ mod tests {
         let n = 16;
         let keys = keys_for(n, |i, j| (i * n + j) as u64);
         let out = sort_keys(&keys).unwrap();
-        assert!(out.metrics.comm_rounds() <= 37);
+        assert_eq!(out.metrics.comm_rounds(), ROUNDS);
     }
 
     #[test]
@@ -631,7 +646,7 @@ mod tests {
         let n = 16;
         let keys = keys_for(n, |i, j| (n * n - i * n - j) as u64);
         let out = sort_keys(&keys).unwrap();
-        assert!(out.metrics.comm_rounds() <= 37);
+        assert_eq!(out.metrics.comm_rounds(), ROUNDS);
     }
 
     #[test]
@@ -639,7 +654,7 @@ mod tests {
         let n = 16;
         let keys = keys_for(n, |_, j| (j % 3) as u64);
         let out = sort_keys(&keys).unwrap();
-        assert!(out.metrics.comm_rounds() <= 37);
+        assert_eq!(out.metrics.comm_rounds(), ROUNDS);
     }
 
     #[test]
@@ -647,11 +662,7 @@ mod tests {
         for n in [5, 8, 12, 20] {
             let keys = keys_for(n, |i, j| ((i * 7 + j * 13) % 100) as u64);
             let out = sort_keys(&keys).unwrap();
-            assert!(
-                out.metrics.comm_rounds() <= 37,
-                "n={n}: {} rounds",
-                out.metrics.comm_rounds()
-            );
+            assert_eq!(out.metrics.comm_rounds(), ROUNDS, "n={n}");
         }
     }
 
@@ -666,7 +677,7 @@ mod tests {
             })
             .collect();
         let out = sort_keys(&keys).unwrap();
-        assert!(out.metrics.comm_rounds() <= 37);
+        assert_eq!(out.metrics.comm_rounds(), ROUNDS);
     }
 
     #[test]
@@ -674,7 +685,7 @@ mod tests {
         for n in [1, 2, 3] {
             let keys = keys_for(n, |i, j| ((i * 3 + j) % 5) as u64);
             let out = sort_keys(&keys).unwrap();
-            assert!(out.metrics.comm_rounds() <= 37, "n={n}");
+            assert!(out.metrics.comm_rounds() <= ROUNDS, "n={n}");
         }
     }
 

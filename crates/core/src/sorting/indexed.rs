@@ -2,21 +2,26 @@
 //! indices, rank selection, and mode finding — all in a constant number
 //! of rounds on top of Algorithm 4.
 //!
-//! After the 37-round sort, every node holds a contiguous batch of the
+//! After the 33-round sort, every node holds a contiguous batch of the
 //! global order. One broadcast round of per-batch boundary summaries
 //! (first/last value and their multiplicities, distinct count, best run)
 //! lets every node stitch runs across batch boundaries locally, which
 //! yields:
 //!
-//! * **selection** — the owner of rank `k` announces the key: 38 rounds;
-//! * **mode** — computable locally from the summaries: 38 rounds;
+//! * **selection** — the owner of rank `k` announces the key: 34 rounds;
+//! * **mode** — computable locally from the summaries: 34 rounds;
 //! * **global indices** — each node computes the non-repetitive index of
 //!   every key in its batch, then routes `(position, index)` reports back
-//!   to the keys' origins via Theorem 3.7: 37 + 1 + 16 = 54 rounds.
+//!   to the keys' origins via Theorem 5.4: 33 + 1 + 12 = 46 rounds.
+//!
+//! Both the sort's Step 6 and the report-back are Problem 3.1 instances,
+//! routed here with Theorem 5.4's 12-round router. This is an extension:
+//! the paper states the sort as 37 rounds with Theorem 3.7's 16-round
+//! router, which would make these 38 / 38 / 54.
 
 use crate::error::CoreError;
 use crate::exec::Exec;
-use crate::routing::{GMsg, RoutedMessage, RouterMachine};
+use crate::routing::{OGMsg, OptRouterMachine, RoutedMessage};
 use crate::sorting::full_sort::{spec_for_sorting, FsMsg, FullSortMachine, NodeBatch};
 use cc_sim::util::word_bits;
 use cc_sim::{CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
@@ -131,7 +136,7 @@ pub enum QMsg {
     /// Selection answer broadcast.
     Answer(u64),
     /// Index reports routed home.
-    Back(Box<GMsg<IndexReport>>),
+    Back(Box<OGMsg<IndexReport>>),
 }
 
 impl Payload for QMsg {
@@ -166,7 +171,7 @@ struct QueryMachine {
     sort_done_call: Option<u32>,
     batch: Option<NodeBatch>,
     bounds: Vec<Option<Boundary>>,
-    router: Option<RouterMachine<IndexReport>>,
+    router: Option<OptRouterMachine<IndexReport>>,
     input_len: usize,
 }
 
@@ -251,9 +256,10 @@ impl NodeMachine for QueryMachine {
                         self.bounds[src.index()] = Some(b);
                     }
                     let reports = self.compute_index_reports(ctx);
-                    let mut router = RouterMachine::from_messages(self.n, self.me, reports, 0x1D);
+                    let mut router =
+                        OptRouterMachine::from_messages(self.n, self.me, reports, 0x1D);
                     let (base, outbox) = ctx.split();
-                    let mut sub: Vec<(NodeId, GMsg<IndexReport>)> = Vec::new();
+                    let mut sub: Vec<(NodeId, OGMsg<IndexReport>)> = Vec::new();
                     let mut sub_ctx = Ctx::from_parts(base.reborrow(), &mut sub);
                     router.on_start(&mut sub_ctx);
                     for (dst, m) in sub {
@@ -268,7 +274,7 @@ impl NodeMachine for QueryMachine {
         // Phase 3 (indices only): route the reports home.
         let router = self.router.as_mut().expect("router active");
         let (base, outbox) = ctx.split();
-        let mut sub: Vec<(NodeId, GMsg<IndexReport>)> = Vec::new();
+        let mut sub: Vec<(NodeId, OGMsg<IndexReport>)> = Vec::new();
         let mut sub_inbox = Inbox::from_messages(back);
         let mut sub_ctx = Ctx::from_parts(base.reborrow(), &mut sub);
         let step = router.on_round(&mut sub_ctx, &mut sub_inbox);
@@ -459,7 +465,7 @@ fn run_query(
 }
 
 /// Corollary 4.6: the duplicate-aware index of every input key, returned
-/// to its origin, in a constant number of rounds (37 + 1 + 16).
+/// to its origin, in a constant number of rounds (33 + 1 + 12 = 46).
 ///
 /// # Errors
 ///
@@ -501,7 +507,7 @@ pub(crate) fn global_indices_with_exec(
 }
 
 /// Selection: the key of global rank `rank` (0-based), known to every
-/// node after 38 rounds.
+/// node after 34 rounds.
 ///
 /// # Errors
 ///
@@ -549,7 +555,7 @@ pub(crate) fn select_rank_with_exec(
 }
 
 /// Mode: the most frequent key value and its multiplicity, known to every
-/// node after 38 rounds.
+/// node after 34 rounds.
 ///
 /// # Errors
 ///
@@ -594,6 +600,11 @@ pub(crate) fn mode_query_with_exec(
 mod tests {
     use super::*;
 
+    /// Sort, then one round of summaries or answers.
+    const QUERY_ROUNDS: u64 = FullSortMachine::ROUNDS as u64 + 1;
+    /// Sort, summaries, then the 12-round report-back.
+    const INDEX_ROUNDS: u64 = FullSortMachine::ROUNDS as u64 + 1 + 12;
+
     fn keys_for(n: usize, f: impl Fn(usize, usize) -> u64) -> Vec<Vec<u64>> {
         (0..n).map(|i| (0..n).map(|j| f(i, j)).collect()).collect()
     }
@@ -617,7 +628,7 @@ mod tests {
         let keys = keys_for(n, |i, j| ((i + 2 * j) % 7) as u64);
         let out = global_indices(&keys).unwrap();
         assert_eq!(out.indices, reference_indices(&keys));
-        assert!(out.metrics.comm_rounds() <= 54);
+        assert_eq!(out.metrics.comm_rounds(), INDEX_ROUNDS);
     }
 
     #[test]
@@ -645,7 +656,7 @@ mod tests {
         let rank = (all.len() / 2) as u64;
         let out = select_rank(&keys, rank).unwrap();
         assert_eq!(out.key, all[rank as usize]);
-        assert!(out.metrics.comm_rounds() <= 38);
+        assert_eq!(out.metrics.comm_rounds(), QUERY_ROUNDS);
     }
 
     #[test]
@@ -676,7 +687,7 @@ mod tests {
         let out = mode_query(&keys).unwrap();
         assert_eq!(out.count, bc);
         assert_eq!(out.key, bk);
-        assert!(out.metrics.comm_rounds() <= 38);
+        assert_eq!(out.metrics.comm_rounds(), QUERY_ROUNDS);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!   `|W| ≈ √n` group in **10 rounds** (Lemma 4.4), 8 when the final
 //!   redistribution is skipped.
 //! * `sort_keys` — Algorithm 4 / Theorem 4.5: every node holds up to `n`
-//!   keys; after **37 rounds** node `i` holds the `i`-th batch of the
-//!   global sorted order.
+//!   keys; after **33 rounds** node `i` holds the `i`-th batch of the
+//!   global sorted order (Theorem 5.4's router in Step 6; the paper states
+//!   37 with Theorem 3.7).
 //! * Corollary 4.6 (duplicate-aware global indices), selection and mode
 //!   queries, and the §6.3 small-key protocol build on top.
 

@@ -1,7 +1,7 @@
 //! Coverage for the paper's §6 extensions and the facade surface.
 
 use cc_core::routing::{route_large_messages, LargeMessage};
-use cc_core::sorting::small_key_census;
+use cc_core::sorting::{small_key_census, FullSortMachine};
 use cc_core::CongestedClique;
 use cc_sim::NodeId;
 
@@ -72,7 +72,10 @@ fn facade_full_surface_smoke() {
         .map(|i| (0..n).map(|j| ((i * 3 + j) % 8) as u64).collect())
         .collect();
     let sorted = clique.sort(&keys).unwrap();
-    assert_eq!(sorted.metrics.comm_rounds(), 37);
+    assert_eq!(
+        sorted.metrics.comm_rounds(),
+        u64::from(FullSortMachine::ROUNDS)
+    );
     let idx = clique.global_indices(&keys).unwrap();
     assert_eq!(idx.indices.len(), n);
     let sel = clique.select(&keys, 0).unwrap();

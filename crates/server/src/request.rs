@@ -20,7 +20,8 @@ pub enum Request {
     Route(RoutingInstance),
     /// [`CliqueService::route_optimized`] — Theorem 5.4, ≤ 12 rounds.
     RouteOptimized(RoutingInstance),
-    /// [`CliqueService::sort`] — Theorem 4.5, ≤ 37 rounds.
+    /// [`CliqueService::sort`] — 33 rounds: Algorithm 4 with Theorem 5.4's
+    /// router in Step 6; the paper states 37 with Theorem 3.7.
     Sort(Vec<Vec<u64>>),
     /// [`CliqueService::global_indices`] — Corollary 4.6.
     GlobalIndices(Vec<Vec<u64>>),

@@ -6,7 +6,7 @@
 //! scratch, and throws all of it away with the [`RunReport`]. For a
 //! single long run that setup is noise; for a *service* answering
 //! millions of constant-round queries (the regime of Lenzen's protocols —
-//! 16-round routing, 37-round sorting), it is the dominant cost.
+//! 16-round routing, 33-round sorting), it is the dominant cost.
 //!
 //! A [`CliqueSession`] keeps the expensive parts alive between runs:
 //!

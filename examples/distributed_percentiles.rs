@@ -42,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // an exact CDF shard-locally afterwards.
     let sorted = clique.sort(&samples)?;
     println!(
-        "full sort: {} rounds (paper bound: 37); node 0 holds ranks [0, {})",
+        "full sort: {} rounds (33: Algorithm 4 with Theorem 5.4's router in Step 6; \
+         the paper states 37 with Theorem 3.7); node 0 holds ranks [0, {})",
         sorted.metrics.comm_rounds(),
         sorted.batches[0].len()
     );

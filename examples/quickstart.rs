@@ -41,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let keys = workloads::uniform_keys(n, 7);
     let sorted = clique.sort(&keys)?;
     println!(
-        "\nsorting {} keys:\n  deterministic (Thm 4.5): {:2} rounds (paper: ≤ 37)",
+        "\nsorting {} keys:\n  deterministic (Alg 4):   {:2} rounds (33: Algorithm 4 with Theorem 5.4's \
+         router in Step 6; the paper states 37 with Theorem 3.7)",
         sorted.total,
         sorted.metrics.comm_rounds()
     );

@@ -3,8 +3,9 @@
 //! A production-quality Rust reproduction of Christoph Lenzen's *Optimal
 //! Deterministic Routing and Sorting on the Congested Clique* (PODC 2013):
 //! deterministic **16-round** routing (Theorem 3.7), **12-round** routing
-//! with `O(n log n)` work and memory (Theorem 5.4), **37-round** sorting
-//! (Theorem 4.5), constant-round selection/mode/index queries
+//! with `O(n log n)` work and memory (Theorem 5.4), **33-round** sorting
+//! (Algorithm 4 with Theorem 5.4's router in Step 6; the paper states 37
+//! with Theorem 3.7), constant-round selection/mode/index queries
 //! (Corollary 4.6), and the two-round small-key census of §6.3 — all
 //! executed and *measured* on a synchronous congested-clique simulator
 //! that enforces the model's `O(log n)`-bit per-edge budget.
@@ -40,10 +41,10 @@
 //! let routed = clique.route(&instance)?;
 //! assert_eq!(routed.metrics.comm_rounds(), 16);
 //!
-//! // Sort n² keys in 37 rounds.
+//! // Sort n² keys in 33 rounds.
 //! let keys = congested_clique::workloads::uniform_keys(n, 7);
 //! let sorted = clique.sort(&keys)?;
-//! assert_eq!(sorted.metrics.comm_rounds(), 37);
+//! assert_eq!(sorted.metrics.comm_rounds(), 33);
 //! # Ok(())
 //! # }
 //! ```

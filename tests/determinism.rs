@@ -6,7 +6,7 @@
 
 use congested_clique::core::routing::{route_optimized_with_spec, spec_for_optimized};
 use congested_clique::core::sorting::{
-    sort_with_spec, spec_for_sorting, SubsetSort, SubsetSortOutput, TaggedKey,
+    sort_with_spec, spec_for_sorting, FullSortMachine, SubsetSort, SubsetSortOutput, TaggedKey,
 };
 use congested_clique::primitives::{drive, NodeGroup};
 use congested_clique::sim::{run_protocol, CliqueSpec, CommonScope, ExecMode, Metrics};
@@ -62,7 +62,11 @@ fn theorem_4_5_sorter_is_mode_deterministic() {
             .map(|mode| sort_with_spec(&keys, spec_for_sorting(n).with_exec(mode)).unwrap())
             .collect();
         let first = &runs[0];
-        assert_eq!(first.metrics.comm_rounds(), 37, "n={n}");
+        assert_eq!(
+            first.metrics.comm_rounds(),
+            u64::from(FullSortMachine::ROUNDS),
+            "n={n}"
+        );
         for run in &runs[1..] {
             assert_eq!(first.batches, run.batches, "n={n}");
             assert_eq!(first.offsets, run.offsets, "n={n}");

@@ -3,7 +3,7 @@
 
 use congested_clique::baselines;
 use congested_clique::core::routing::{route_deterministic, route_optimized};
-use congested_clique::core::sorting::sort_keys;
+use congested_clique::core::sorting::{sort_keys, FullSortMachine};
 use congested_clique::{workloads, CongestedClique};
 
 #[test]
@@ -47,7 +47,10 @@ fn sorting_matches_std_sort_on_every_distribution() {
         workloads::zipf_keys(n, 100, 4),
     ] {
         let out = sort_keys(&keys).unwrap(); // internally verified
-        assert!(out.metrics.comm_rounds() <= 37);
+        assert_eq!(
+            out.metrics.comm_rounds(),
+            u64::from(FullSortMachine::ROUNDS)
+        );
         let flat: Vec<u64> = out.batches.iter().flatten().map(|k| k.key).collect();
         let mut expected: Vec<u64> = keys.iter().flatten().copied().collect();
         expected.sort_unstable();

@@ -9,7 +9,7 @@
 
 use cc_rand::DetRng;
 use congested_clique::core::routing::{route_deterministic, route_optimized, RoutingInstance};
-use congested_clique::core::sorting::sort_keys;
+use congested_clique::core::sorting::{sort_keys, FullSortMachine};
 
 #[test]
 fn routing_delivers_arbitrary_valid_instances() {
@@ -87,7 +87,11 @@ fn sorting_agrees_with_std() {
             })
             .collect();
         let out = sort_keys(&keys).unwrap();
-        assert!(out.metrics.comm_rounds() <= 37, "case {case}: n={n}");
+        assert_eq!(
+            out.metrics.comm_rounds(),
+            u64::from(FullSortMachine::ROUNDS),
+            "case {case}: n={n}"
+        );
         let flat: Vec<u64> = out.batches.iter().flatten().map(|k| k.key).collect();
         let mut expected: Vec<u64> = keys.iter().flatten().copied().collect();
         expected.sort_unstable();
