@@ -1,23 +1,15 @@
-//! # cc-bench — the experiment harness
+//! # cc-bench — the experiment tables
 //!
 //! Regenerates every quantitative claim of Lenzen (PODC 2013) as a table,
 //! one function per experiment in [`experiments`] (E1–E16), each printing
 //! the paper's claim in its header next to the measured values. Run single
 //! experiments with `cargo run -p cc-bench --release --bin tables -- e1`
-//! (or `all`).
+//! (or `all`). The tables report rounds, bits, colours and work, never
+//! wall-clock time.
 //!
-//! Wall-clock benchmarks live under `benches/` on the dependency-free
-//! [`harness`]; the flagship is `benches/engine.rs`, which measures the
-//! optimized simulator (sequential and parallel) against the retained
-//! seed-reference engine and writes `BENCH_engine.json` at the workspace
-//! root:
-//!
-//! ```sh
-//! cargo bench -p cc-bench --bench engine            # full run
-//! cargo bench -p cc-bench --bench engine -- --quick # CI smoke run
-//! ```
+//! Wall-clock performance is measured by `ccbench` (`ccbench/` at the
+//! repository root), a package of its own outside this workspace.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod harness;

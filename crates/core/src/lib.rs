@@ -64,8 +64,8 @@ pub use clique::CongestedClique;
 pub use error::CoreError;
 pub use service::{CliqueService, Outcome};
 
-// What the layers above the service (the `cc-server` shard workers, the
-// benches) need without reaching into `cc-sim` themselves: the per-session
+// What the layers above the service (the `cc-server` shard workers,
+// `ccbench`) need without reaching into `cc-sim` themselves: the per-session
 // counters behind [`CliqueService::stats`] and the per-run measurements
 // embedded in every outcome.
 pub use cc_sim::{Metrics, SessionStats};

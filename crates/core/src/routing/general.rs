@@ -602,7 +602,7 @@ pub fn route_deterministic<P: RoutePayload>(
 }
 
 /// As [`route_deterministic`] with a caller-provided spec (used by the
-/// benchmark harness to tighten budgets or record histograms).
+/// experiment tables to tighten budgets or record histograms).
 ///
 /// # Errors
 ///

@@ -12,9 +12,9 @@
 //! | 9–10   | order-preserving redistribution (Step 8)        |
 //!
 //! Steps 1, 3, 4 and 7 are local. The paper spends Corollary 3.4's full
-//! four rounds on Step 6 even though Step 5's announcement already made
-//! the demands common knowledge — we reproduce that accounting (10
-//! rounds), noting in EXPERIMENTS.md that two rounds are saveable.
+//! four rounds on Step 6, and we reproduce that accounting (10 rounds).
+//! Step 5 already makes Step 6's demands common knowledge, so two of
+//! these rounds are saveable (ROADMAP item 4).
 
 use crate::sorting::keys::{IndexedBatch, KeyBatch, TaggedKey, KEYS_PER_BATCH};
 use cc_primitives::{

@@ -33,8 +33,9 @@ pub enum ServingMode {
     #[default]
     Reactor,
     /// The legacy core: one reader and one writer thread per accepted
-    /// connection. Kept as the comparison baseline while the reactor
-    /// soaks; scheduled for removal once the benches retire it.
+    /// connection. The fallback on targets without the reactor
+    /// (non-Unix), and the second core the wire-protocol tests run
+    /// against.
     ThreadPerConnection,
 }
 

@@ -464,23 +464,16 @@ impl<N: NodeMachine> Simulator<N> {
             return self.run_seed_reference();
         }
         let threads = mode.worker_threads(self.spec.n());
-        let spawn_per_round = matches!(mode, ExecMode::SpawnParallel { .. });
-        self.run_engine(threads, spawn_per_round)
+        self.run_engine(threads)
     }
 
     /// The optimized engine: bucketed delivery, buffer reuse, and
     /// `threads`-way chunked stepping (1 = sequential, inline).
     ///
     /// Parallel stepping hands the chunks to a persistent
-    /// [`WorkerPool`](crate::pool::WorkerPool) — workers are spawned once
-    /// here and parked between rounds — unless `spawn_per_round` selects
-    /// the retained [`ExecMode::SpawnParallel`] benchmark baseline, which
-    /// spawns and joins scoped workers every round.
-    fn run_engine(
-        self,
-        threads: usize,
-        spawn_per_round: bool,
-    ) -> Result<RunReport<N::Output>, SimError> {
+    /// [`WorkerPool`](crate::pool::WorkerPool): workers are spawned once
+    /// here and parked between rounds.
+    fn run_engine(self, threads: usize) -> Result<RunReport<N::Output>, SimError> {
         let Simulator {
             spec,
             machines,
@@ -494,18 +487,6 @@ impl<N: NodeMachine> Simulator<N> {
 
         #[cfg(feature = "parallel")]
         if chunks.len() > 1 {
-            if spawn_per_round {
-                // Benchmark baseline: per-round scoped spawn/join, the
-                // stepping strategy the persistent pool replaced.
-                return run_rounds(
-                    &spec,
-                    &common,
-                    &mut chunks,
-                    split,
-                    &mut scratch,
-                    step_spawning_per_round(n),
-                );
-            }
             return std::thread::scope(|scope| {
                 let mut pool = crate::pool::WorkerPool::new(scope, chunks.len(), n, &common);
                 run_rounds(
@@ -518,7 +499,6 @@ impl<N: NodeMachine> Simulator<N> {
                 )
             });
         }
-        let _ = spawn_per_round; // single chunk (or no `parallel` feature): stepped inline
         run_rounds(
             &spec,
             &common,
@@ -535,7 +515,7 @@ impl<N: NodeMachine> Simulator<N> {
     }
 }
 
-/// The pre-optimization engine, kept verbatim as the benchmark baseline
+/// The pre-optimization engine, kept as the determinism oracle
 /// ([`ExecMode::SeedReference`]): comparison-sort delivery with a
 /// front-shifting `drain` (quadratic in per-source fan-out) and fresh
 /// inbox allocations every round. A free function so both the one-shot
@@ -800,30 +780,6 @@ pub(crate) fn step_inline<N: NodeMachine>(
     n: usize,
 ) -> impl FnMut(u64, &mut [NodeChunk<N>], &CommonCache) -> usize {
     move |round, chunks, common| chunks.iter_mut().map(|c| c.step(round, n, common)).sum()
-}
-
-/// The retained [`ExecMode::SpawnParallel`] benchmark baseline: scoped
-/// workers spawned and joined *every round* — the stepping strategy the
-/// persistent pools replaced.
-#[cfg(feature = "parallel")]
-pub(crate) fn step_spawning_per_round<N: NodeMachine>(
-    n: usize,
-) -> impl FnMut(u64, &mut [NodeChunk<N>], &CommonCache) -> usize {
-    move |round, chunks, common| {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter_mut()
-                .map(|c| scope.spawn(move || c.step(round, n, common)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .sum()
-        })
-    }
 }
 
 /// The optimized engine's round loop, generic over the stepping strategy:
@@ -1372,8 +1328,8 @@ mod tests {
         for n in [1usize, 2, 7, 8, 23, 64, 1024] {
             for workers in [1usize, 2, 3, 5, 7, 48, 2000] {
                 let split = ChunkSplit::new(n, workers);
-                // The chunk count must equal the resolved worker count —
-                // this is what the benchmark metadata records.
+                // The chunk count must equal the resolved worker count
+                // that `ExecMode::worker_threads` reports.
                 assert_eq!(split.count(), workers.clamp(1, n));
                 let sizes: Vec<usize> = split.sizes().collect();
                 assert_eq!(sizes.iter().sum::<usize>(), n, "n={n} workers={workers}");

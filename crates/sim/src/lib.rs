@@ -63,28 +63,26 @@
 //!   than one worker: workers are spawned once per run, parked on their
 //!   job channel between rounds, and each round receive ownership of
 //!   their node chunk (a few `Vec` headers), step it, and hand it back.
-//!   The per-round hand-off is a channel send instead of a thread
-//!   spawn/join, so even small cliques parallelize profitably (see
-//!   [`PARALLEL_AUTO_THRESHOLD`] and [`PARALLEL_MIN_CHUNK`]). Under a
-//!   [`CliqueSession`] the pool outlives the *run* too: session workers
-//!   are type-erased and parked between runs, so a batch of protocol
-//!   runs — even of different protocols — spawns no threads at all after
-//!   the first.
+//!   The per-round hand-off is a channel send, so even small cliques
+//!   parallelize profitably (see [`PARALLEL_AUTO_THRESHOLD`] and
+//!   [`PARALLEL_MIN_CHUNK`]). Under a [`CliqueSession`] the pool
+//!   outlives the *run* too: session workers are type-erased and parked
+//!   between runs, so a batch of protocol runs — even of different
+//!   protocols — spawns no threads at all after the first.
 //!
 //! Every mode — [`ExecMode::Sequential`], [`ExecMode::Parallel`], the
-//!   default [`ExecMode::Auto`], and the retained benchmark baselines
-//!   [`ExecMode::SpawnParallel`] (per-round scoped spawn, the pool's
-//!   predecessor) and [`ExecMode::SeedReference`] (the pre-optimization
-//!   engine) — produces **bit-identical** [`RunReport`]s for
-//!   deterministic protocols: inboxes deliver in ascending sender order
-//!   (per-sender send order preserved), per-node work meters are indexed
-//!   by node, and model violations are detected in the sequential
-//!   delivery pass so the lowest-`(src, dst)` violation is reported
-//!   regardless of worker interleaving — including messages still queued
-//!   when every node has finished, which are classified as
-//!   [`SimError::MessageToFinishedNode`] at the lowest in-range
-//!   destination or [`SimError::DestinationOutOfRange`] when the sender
-//!   queued only out-of-range destinations. Select a mode with
+//!   default [`ExecMode::Auto`], and [`ExecMode::SeedReference`] (the
+//!   pre-optimization engine, kept as the oracle the determinism suites
+//!   compare every other mode against) — produces **bit-identical**
+//!   [`RunReport`]s for deterministic protocols: inboxes deliver in
+//!   ascending sender order (per-sender send order preserved), per-node
+//!   work meters are indexed by node, and model violations are detected
+//!   in the sequential delivery pass so the lowest-`(src, dst)`
+//!   violation is reported regardless of worker interleaving — including
+//!   messages still queued when every node has finished, which are
+//!   classified as [`SimError::MessageToFinishedNode`] at the lowest
+//!   in-range destination or [`SimError::DestinationOutOfRange`] when the
+//!   sender queued only out-of-range destinations. Select a mode with
 //!   [`CliqueSpec::with_exec`]; disabling the `parallel` feature removes
 //!   the threaded code entirely and every mode degrades to sequential.
 //!

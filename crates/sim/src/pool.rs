@@ -4,11 +4,8 @@
 //! [`CliqueSession`](crate::CliqueSession) and parked between *runs* —
 //! so a batch of protocol runs never respawns a thread.
 //!
-//! The engine's rounds are embarrassingly parallel across nodes, but the
-//! previous parallel engine paid `workers × thread spawn/join` every
-//! round, which is why small cliques could not parallelize profitably
-//! (the old `PARALLEL_MIN_CHUNK` of 32 existed solely to amortize spawn
-//! cost). This pool replaces the per-round spawn with a per-round
+//! The engine's rounds are embarrassingly parallel across nodes, and the
+//! pool keeps the per-round cost of using that parallelism to a
 //! *hand-off*: workers are spawned once inside the run's thread scope,
 //! block on their job channel between rounds (a futex park — no
 //! spinning), and each round receive *ownership* of their

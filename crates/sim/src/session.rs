@@ -337,7 +337,7 @@ impl CliqueSession {
         let mode = spec.exec();
         if mode == ExecMode::SeedReference {
             // The seed engine allocates everything fresh by design (it is
-            // the benchmark baseline); the session only lends its cache.
+            // the determinism oracle); the session only lends its cache.
             return run_seed(spec, machines, &self.common);
         }
         let n = spec.n();
@@ -347,7 +347,7 @@ impl CliqueSession {
         let mut chunks = build_chunks(machines, &split, &mut pile);
         self.scratch.reset(n);
 
-        let result = self.step_chunks(spec, &mut chunks, split, mode);
+        let result = self.step_chunks(spec, &mut chunks, split);
 
         // Success or failure, every buffer goes back to the pile cleared.
         for chunk in &mut chunks {
@@ -357,13 +357,13 @@ impl CliqueSession {
         result
     }
 
-    /// Runs the round loop with the stepping strategy `mode` resolved to.
+    /// Runs the round loop: on the session pool when the mode resolved to
+    /// more than one chunk, inline otherwise.
     fn step_chunks<N>(
         &mut self,
         spec: &CliqueSpec,
         chunks: &mut [crate::engine::NodeChunk<N>],
         split: ChunkSplit,
-        mode: ExecMode,
     ) -> Result<RunReport<N::Output>, SimError>
     where
         N: NodeMachine + 'static,
@@ -374,16 +374,6 @@ impl CliqueSession {
         let common = Arc::clone(&self.common);
         #[cfg(feature = "parallel")]
         if chunks.len() > 1 {
-            if matches!(mode, ExecMode::SpawnParallel { .. }) {
-                return run_rounds(
-                    spec,
-                    &common,
-                    chunks,
-                    split,
-                    &mut self.scratch,
-                    crate::engine::step_spawning_per_round(n),
-                );
-            }
             let pool = &mut self.pool;
             pool.ensure_workers(chunks.len());
             return run_rounds(
@@ -395,7 +385,6 @@ impl CliqueSession {
                 |round, chunks, _| pool.step_round(round, n, &common, chunks),
             );
         }
-        let _ = mode; // single chunk (or no `parallel` feature): inline
         run_rounds(
             spec,
             &common,
@@ -716,7 +705,7 @@ mod tests {
     }
 
     /// `runs_per_sec` must stay finite for batches too fast to time —
-    /// quick-mode runs of tiny cliques can complete within one clock tick,
+    /// runs of tiny cliques can complete within one clock tick,
     /// and a `completed / 0.0` division would report `inf` (or `NaN` for
     /// an empty batch). Pinned: zero elapsed reports zero throughput.
     #[test]

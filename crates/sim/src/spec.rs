@@ -7,17 +7,14 @@ use crate::util::word_bits;
 ///
 /// Workers are persistent and parked between rounds (see the engine's
 /// worker pool), so the hand-off is a channel send rather than a thread
-/// spawn — which is why this threshold sits well below the 128 nodes the
-/// per-round spawn/join engine needed.
+/// spawn.
 pub const PARALLEL_AUTO_THRESHOLD: usize = 64;
 
 /// Minimum nodes per worker chunk that [`ExecMode::Auto`] will schedule.
 ///
 /// Workers are spawned once per run and parked between rounds, so a chunk
 /// only has to amortize a channel hand-off (microseconds), not a thread
-/// spawn/join — hence 8 nodes per worker instead of the 32 the
-/// spawn-per-round engine required. Explicit [`ExecMode::Parallel`]
-/// counts are honored as given.
+/// spawn/join. Explicit [`ExecMode::Parallel`] counts are honored as given.
 pub const PARALLEL_MIN_CHUNK: usize = 8;
 
 /// How the engine executes a run.
@@ -47,20 +44,15 @@ pub enum ExecMode {
         /// Number of stepping workers; `0` selects one per available core.
         threads: usize,
     },
-    /// The pre-pool parallel engine: `threads` scoped workers spawned and
-    /// joined *every round* instead of drawn from the persistent pool.
-    /// Retained solely as a benchmark baseline so the pool's per-round
-    /// hand-off advantage stays measurable (`cargo bench -p cc-bench
-    /// --bench engine`); never use it for real runs. Resolves its worker
-    /// count exactly like [`ExecMode::Parallel`].
-    SpawnParallel {
-        /// Number of stepping workers; `0` selects one per available core.
-        threads: usize,
-    },
     /// The pre-optimization engine: comparison-sort delivery with a
-    /// quadratic drain and fresh inbox allocations every round. Retained
-    /// solely as the benchmark baseline the optimized paths are measured
-    /// against; never use it for real runs.
+    /// quadratic drain and fresh inbox allocations every round. It keeps
+    /// its own round loop and delivery pass (no buckets, no buffer reuse,
+    /// no chunked stepping), which is what makes it the determinism
+    /// oracle: the mode-matrix suites
+    /// (`crates/sim/tests/determinism.rs`, `crates/sim/tests/session.rs`,
+    /// `tests/determinism.rs` and `tests/radix_determinism.rs`) assert
+    /// that every other mode reproduces its `RunReport`s bit for bit.
+    /// Too slow for real runs.
     SeedReference,
 }
 
@@ -84,7 +76,7 @@ impl ExecMode {
                     cores().min(n / PARALLEL_MIN_CHUNK).max(1)
                 }
             }
-            ExecMode::Parallel { threads } | ExecMode::SpawnParallel { threads } => {
+            ExecMode::Parallel { threads } => {
                 if !cfg!(feature = "parallel") {
                     return 1;
                 }
@@ -293,17 +285,8 @@ mod tests {
             assert_eq!(ExecMode::Parallel { threads: 3 }.worker_threads(1024), 3);
             assert_eq!(ExecMode::Parallel { threads: 64 }.worker_threads(8), 8);
             assert!(ExecMode::Parallel { threads: 0 }.worker_threads(1024) >= 1);
-            // The spawn-per-round baseline resolves exactly like Parallel.
-            assert_eq!(
-                ExecMode::SpawnParallel { threads: 3 }.worker_threads(1024),
-                3
-            );
         } else {
             assert_eq!(ExecMode::Parallel { threads: 3 }.worker_threads(1024), 1);
-            assert_eq!(
-                ExecMode::SpawnParallel { threads: 3 }.worker_threads(1024),
-                1
-            );
         }
     }
 }

@@ -17,7 +17,6 @@ fn all_modes() -> Vec<ExecMode> {
         ExecMode::Parallel { threads: 2 },
         ExecMode::Parallel { threads: 5 },
         ExecMode::Parallel { threads: 0 },
-        ExecMode::SpawnParallel { threads: 2 },
     ]
 }
 
@@ -31,7 +30,6 @@ fn error_modes() -> Vec<ExecMode> {
         ExecMode::Sequential,
         ExecMode::Parallel { threads: 2 },
         ExecMode::Parallel { threads: 3 },
-        ExecMode::SpawnParallel { threads: 2 },
         ExecMode::SeedReference,
     ]
 }

@@ -19,7 +19,6 @@ fn all_modes() -> Vec<ExecMode> {
         ExecMode::Parallel { threads: 2 },
         ExecMode::Parallel { threads: 5 },
         ExecMode::Parallel { threads: 0 },
-        ExecMode::SpawnParallel { threads: 2 },
         ExecMode::SeedReference,
     ]
 }

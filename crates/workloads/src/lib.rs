@@ -1,8 +1,8 @@
 //! # cc-workloads — instance generators for the experiments
 //!
 //! Routing workloads (Problem 3.1) and key distributions (Problem 4.1)
-//! used by the test suite and the benchmark harness. All generators are
-//! deterministic in their seed.
+//! used by the test suite, the experiment tables and `ccbench`. All
+//! generators are deterministic in their seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,7 +102,7 @@ pub fn sparse_random(n: usize, load: usize, seed: u64) -> Result<RoutingInstance
 /// are traffic magnets), with the Problem 3.1 receive cap of `n` enforced
 /// by rejection plus a deterministic spill onto the first non-full
 /// receivers. Deterministic in `seed`. The canonical "skewed popularity"
-/// scenario for the query server's mixed-traffic benches: hot receivers
+/// scenario for the query server's mixed-traffic tests: hot receivers
 /// saturate their cap while the tail stays sparse.
 ///
 /// # Errors
@@ -215,8 +215,8 @@ pub const ENTRY_POINTS: [EntryPoint; 7] = [
 /// [`Request`](cc_server::Request)s with configurable weights over all
 /// seven entry points and a Zipf rank distribution over the configured
 /// clique sizes (the first size is the hottest) — the canonical
-/// mixed-traffic shape shared by the `net_swarm` example, the
-/// `net_throughput` bench rows and the load tests.
+/// mixed-traffic shape shared by the `net_swarm` example, the wire
+/// tests and the timing gates in `tests/perf_gates.rs`.
 ///
 /// Payloads are drawn deterministically from the seed via the sibling
 /// generators ([`balanced_random`], [`uniform_keys`], [`zipf_keys`],

@@ -27,7 +27,6 @@ fn modes() -> Vec<ExecMode> {
         ExecMode::Auto,
         ExecMode::Parallel { threads: 2 },
         ExecMode::Parallel { threads: 0 },
-        ExecMode::SpawnParallel { threads: 2 },
     ]
 }
 
