@@ -127,9 +127,9 @@ pub fn read_frame(r: &mut impl Read, max_frame_bytes: u64) -> Result<Option<Vec<
 /// zero-copy wire path: steady-state traffic does **zero** per-frame
 /// allocations on the read side (pinned by a capacity test below).
 ///
-/// This replaces the allocate-per-frame [`read_frame`] on both hot read
-/// paths (the reactor's connections and the client); `read_frame` remains
-/// for one-shot raw-stream uses.
+/// Both read paths — the reactor's connections and the client — slice
+/// frames through this; the allocate-per-frame [`read_frame`] is for
+/// one-shot blocking reads off a raw stream.
 ///
 /// Layout: `buf[start..end]` holds unconsumed bytes. A frame must be
 /// contiguous from `start`, so the decoder compacts (copies the tail to

@@ -11,8 +11,7 @@
 //!   [`Outcome`](cc_core::Outcome)/[`ServerError`](cc_server::ServerError)
 //!   reply, written with `cc-core`'s bit-exact
 //!   [`BitWriter`](cc_core::wire::BitWriter)/[`BitReader`](cc_core::wire::BitReader);
-//! * the **[`NetServer`]**: by default ([`ServingMode::Reactor`]) one or
-//!   more event-loop threads
+//! * the **[`NetServer`]**: one or more event-loop threads
 //!   ([`with_reactor_threads`](NetServerConfig::with_reactor_threads))
 //!   multiplexing *every* accepted connection through a readiness
 //!   backend — edge-triggered `epoll` on Linux (fds registered once,
@@ -35,9 +34,8 @@
 //!   byte-dribbling partial frames, never-reading reply sinks — are
 //!   evicted on the
 //!   [`idle`](NetServerConfig::with_idle_timeout)/[`write`](NetServerConfig::with_write_timeout)
-//!   deadline clocks without stalling their neighbors. The legacy
-//!   two-threads-per-connection core remains as
-//!   [`ServingMode::ThreadPerConnection`] (and the non-Unix fallback);
+//!   deadline clocks without stalling their neighbors. The reactor is
+//!   the only serving core, so the crate builds on Unix targets only;
 //! * the **[`CcClient`]**: a blocking client library with plain
 //!   [`call`](CcClient::call), batched out-of-order-tolerant
 //!   [`pipeline`](CcClient::pipeline), and the
@@ -124,11 +122,13 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("cc-net requires a Unix target: its only serving core is the poll/epoll reactor");
+
 mod client;
 pub mod codec;
 mod error;
 pub mod frame;
-#[cfg(unix)]
 mod reactor;
 mod server;
 
@@ -137,6 +137,6 @@ pub use codec::{Frame, WireResult, WIRE_VERSION};
 pub use error::{NetError, WireError};
 pub use frame::{DEFAULT_MAX_FRAME_BYTES, DEFAULT_MAX_REPLY_FRAME_BYTES};
 pub use server::{
-    NetServer, NetServerConfig, NetStats, ReactorBackend, ServingMode, DEFAULT_IDLE_TIMEOUT,
+    NetServer, NetServerConfig, NetStats, ReactorBackend, DEFAULT_IDLE_TIMEOUT,
     DEFAULT_WRITE_TIMEOUT, MAX_CONN_INFLIGHT,
 };

@@ -1,10 +1,9 @@
 //! The event-driven serving core: reactor threads multiplexing every
 //! connection through an O(ready) readiness backend.
 //!
-//! The thread-per-connection backend spends two OS threads and a blocking
-//! reply channel per socket. This module replaces all of that with
-//! **reactor** threads multiplexing accepted sockets through readiness
-//! notifications:
+//! A fixed set of **reactor** threads — one by default — serves every
+//! accepted socket from readiness notifications, so server threads stay
+//! O(shards + reactors) however many clients connect:
 //!
 //! * all sockets are **non-blocking**; a reactor never parks inside a
 //!   read, write, accept or fleet submission — the only place it blocks
@@ -495,11 +494,11 @@ impl Backend {
 }
 
 /// State shared between the reactor threads and the owning
-/// [`NetServer`](crate::NetServer): the shutdown flag plus the config the
-/// loops consult every iteration.
+/// [`NetServer`](crate::NetServer): the shutdown flag, the wire
+/// telemetry, and the config the loops consult every iteration.
 pub(crate) struct ReactorShared {
     pub(crate) closed: AtomicBool,
-    pub(crate) telemetry: Arc<Telemetry>,
+    pub(crate) telemetry: Telemetry,
     /// The fleet's metric registry — the source for inline
     /// `Frame::StatsRequest` answers.
     pub(crate) registry: Registry,
@@ -511,7 +510,7 @@ pub(crate) struct ReactorShared {
 
 /// Best-effort `SO_SNDBUF` cap on an accepted socket; refusal is not a
 /// reason to drop the connection.
-pub(crate) fn cap_send_buffer(stream: &TcpStream, bytes: Option<u32>) {
+fn cap_send_buffer(stream: &TcpStream, bytes: Option<u32>) {
     if let Some(bytes) = bytes {
         let _ = sys::set_send_buffer(stream.as_raw_fd(), bytes);
     }
@@ -542,8 +541,7 @@ struct Conn {
     parked: Option<(u64, Request)>,
     /// Requests submitted to the fleet whose replies have not come back.
     in_fleet: usize,
-    /// Requests submitted whose replies have not *fully flushed* — the
-    /// reactor's analogue of the threaded backend's `InflightGate`; at
+    /// Requests submitted whose replies have not *fully flushed*; at
     /// [`MAX_CONN_INFLIGHT`] the connection stops reading.
     gate: usize,
     /// No more bytes will be read: client EOF, read error, protocol
@@ -625,8 +623,8 @@ impl Conn {
     }
 
     /// Server drain: stop reading, discard any undelivered input (the
-    /// threaded backend's half-close discards the same bytes in the
-    /// kernel), keep everything owed flowing out.
+    /// read-side half-close discards whatever is still in the kernel), keep
+    /// everything owed flowing out.
     fn begin_drain(&mut self) {
         self.eof = true;
         self.read_ready = false;
@@ -791,8 +789,7 @@ impl Ctx {
 
     /// Slices and dispatches every complete buffered frame, stopping at
     /// backpressure (parked submission / in-flight cap) or the first
-    /// protocol error. Mirrors the threaded reader's dispatch, including
-    /// its telemetry points.
+    /// protocol error.
     fn parse(&mut self, conn_id: u64, conn: &mut Conn, now: Instant) {
         let mut progressed = false;
         while !conn.dead && conn.parked.is_none() && conn.gate < MAX_CONN_INFLIGHT {
@@ -1231,8 +1228,7 @@ impl Reactor {
 
     /// Routes each completed reply to its connection's write queue via
     /// the token map. Tokens of connections torn down in the meantime
-    /// resolve to nothing and the reply is dropped, exactly as the
-    /// threaded writer drops replies for a vanished client.
+    /// resolve to nothing and the reply is dropped: its client is gone.
     fn drain_replies(&mut self, now: Instant) {
         let Reactor { conns, ctx, .. } = self;
         while let Ok(reply) = ctx.reply_rx.try_recv() {

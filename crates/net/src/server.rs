@@ -1,43 +1,20 @@
-//! The TCP front of the query fleet: the event-driven reactor backend
-//! (default) and the legacy thread-per-connection backend, behind one
-//! [`NetServer`] with identical wire semantics — pipelining,
-//! backpressure, PROTO_ERR teardown and graceful drain.
+//! The TCP front of the query fleet: [`NetServer`], its configuration
+//! and its wire telemetry. The serving itself — pipelining,
+//! backpressure, PROTO_ERR teardown and graceful drain — is the
+//! event-driven reactor core in `reactor.rs`.
 
-use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cc_core::obs::{self, Counter, Gauge, Histogram, Registry};
-use cc_server::{FleetStats, QueryServer, ServerConfig, ServerError, ServiceHandle, TaggedReply};
+use cc_core::obs::{Counter, Gauge, Histogram, Registry};
+use cc_server::{FleetStats, QueryServer, ReplyWaker, ServerConfig, ServiceHandle};
 
-use crate::codec::{self, Frame};
-use crate::error::{NetError, WireError};
-use crate::frame::{self, DEFAULT_MAX_FRAME_BYTES};
-
-/// Which serving core a [`NetServer`] runs. Both speak the same wire
-/// protocol with the same semantics; they differ only in how sockets map
-/// to threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ServingMode {
-    /// One event-driven reactor thread multiplexes every connection via
-    /// `poll(2)` readiness — thread count stays O(shards) however many
-    /// clients connect. The default, and the C10k path. On non-unix
-    /// targets (no `poll`) this transparently falls back to
-    /// [`ServingMode::ThreadPerConnection`].
-    #[default]
-    Reactor,
-    /// The legacy core: one reader and one writer thread per accepted
-    /// connection. The fallback on targets without the reactor
-    /// (non-Unix), and the second core the wire-protocol tests run
-    /// against.
-    ThreadPerConnection,
-}
+use crate::error::NetError;
+use crate::frame::DEFAULT_MAX_FRAME_BYTES;
+use crate::reactor::ReactorShared;
 
 /// Which readiness mechanism the reactor core multiplexes on. Both
 /// backends drive identical per-connection state machines and produce
@@ -100,15 +77,14 @@ impl Default for ReactorBackend {
 }
 
 /// Sizing knobs for a [`NetServer`]: the inner fleet's [`ServerConfig`]
-/// plus the wire-level frame cap, the serving mode, the reactor topology
-/// and the slow-peer stall bounds.
+/// plus the wire-level frame cap, the reactor topology and the slow-peer
+/// stall bounds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NetServerConfig {
     fleet: ServerConfig,
     max_frame_bytes: u64,
     write_timeout: Duration,
     idle_timeout: Duration,
-    serving_mode: ServingMode,
     conn_send_buffer: Option<u32>,
     reactor_backend: Option<ReactorBackend>,
     reactor_threads: usize,
@@ -123,7 +99,6 @@ impl NetServerConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             write_timeout: DEFAULT_WRITE_TIMEOUT,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            serving_mode: ServingMode::default(),
             conn_send_buffer: None,
             reactor_backend: None,
             reactor_threads: 1,
@@ -139,8 +114,9 @@ impl NetServerConfig {
     }
 
     /// Sets the cap on one frame's payload size in bytes. Frames above it
-    /// are rejected with [`WireError::FrameTooLarge`] — on the read side
-    /// before allocation.
+    /// are rejected with
+    /// [`WireError::FrameTooLarge`](crate::WireError::FrameTooLarge) — on
+    /// the read side before allocation.
     #[must_use]
     pub fn with_max_frame_bytes(mut self, max_frame_bytes: u64) -> Self {
         self.max_frame_bytes = max_frame_bytes;
@@ -159,16 +135,18 @@ impl NetServerConfig {
         self.max_frame_bytes
     }
 
-    /// Sets the bound on any single blocked reply write. A client that
+    /// Sets the bound on any single stalled reply write. A client that
     /// stops reading long enough for its TCP window *and* this timeout to
-    /// fill is treated as gone: its connection is torn down rather than
-    /// parking a writer thread — and with it [`NetServer::shutdown`] /
-    /// `Drop` — forever. Armed at accept time, because a socket timeout
-    /// installed after a write has already parked does not wake it.
+    /// fill is treated as gone: the reactor tears its connection down
+    /// (counted in [`NetStats::idle_teardowns`]) rather than holding its
+    /// queued replies — and with them [`NetServer::shutdown`] / `Drop` —
+    /// forever. The clock runs while the write queue holds a frame and
+    /// restarts at every completed frame flush.
     ///
     /// # Panics
     ///
-    /// Panics on a zero duration (the OS rejects it as a socket timeout).
+    /// Panics on a zero duration (every queued reply would count as
+    /// stalled).
     #[must_use]
     pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
         assert!(!timeout.is_zero(), "write timeout must be non-zero");
@@ -176,7 +154,7 @@ impl NetServerConfig {
         self
     }
 
-    /// The bound on any single blocked reply write.
+    /// The bound on any single stalled reply write.
     #[inline]
     pub fn write_timeout(&self) -> Duration {
         self.write_timeout
@@ -187,8 +165,6 @@ impl NetServerConfig {
     /// (counted in [`NetStats::idle_teardowns`]). Dribbled bytes do not
     /// refresh the clock — only a completed frame does — so a
     /// byte-at-a-time client is evicted however steadily it drips.
-    /// Reactor-only; the thread-per-connection backend relies on the
-    /// write timeout alone.
     ///
     /// # Panics
     ///
@@ -207,26 +183,13 @@ impl NetServerConfig {
         self.idle_timeout
     }
 
-    /// Selects the serving core; see [`ServingMode`].
-    #[must_use]
-    pub fn with_serving_mode(mut self, mode: ServingMode) -> Self {
-        self.serving_mode = mode;
-        self
-    }
-
-    /// The selected serving core.
-    #[inline]
-    pub fn serving_mode(&self) -> ServingMode {
-        self.serving_mode
-    }
-
     /// Caps each accepted connection's kernel send buffer (`SO_SNDBUF`)
     /// at roughly `bytes`. Unset, the kernel autotunes the buffer up to
     /// `tcp_wmem[2]` (megabytes per socket), which both unbounds kernel
     /// memory under many slow readers and lets a reader that never
     /// drains absorb replies for a long time before the stalled-write
     /// deadline can notice. The kernel rounds the value (Linux doubles
-    /// it) and clamps to its own floor. Unix-only; ignored elsewhere.
+    /// it) and clamps to its own floor.
     ///
     /// # Panics
     ///
@@ -249,7 +212,7 @@ impl NetServerConfig {
     /// default decide; see [`ReactorBackend`]. The `CC_REACTOR`
     /// environment variable still overrides an explicit choice — it is
     /// the operational kill switch, like `CC_RADIX=off` for the sort
-    /// engine. Ignored under [`ServingMode::ThreadPerConnection`].
+    /// engine.
     #[must_use]
     pub fn with_reactor_backend(mut self, backend: ReactorBackend) -> Self {
         self.reactor_backend = Some(backend);
@@ -275,8 +238,7 @@ impl NetServerConfig {
     /// N, reactor 0 still owns the listener and deals each accepted
     /// socket to the least-loaded reactor; every reactor owns its own fd
     /// set, readiness backend and doorbell, and fleet fan-in is unchanged
-    /// (`submit_tagged` from whichever loop read the request). Ignored
-    /// under [`ServingMode::ThreadPerConnection`].
+    /// (`submit_tagged` from whichever loop read the request).
     ///
     /// # Panics
     ///
@@ -297,16 +259,7 @@ impl NetServerConfig {
 
 impl Default for NetServerConfig {
     fn default() -> Self {
-        NetServerConfig {
-            fleet: ServerConfig::default(),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            write_timeout: DEFAULT_WRITE_TIMEOUT,
-            idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            serving_mode: ServingMode::default(),
-            conn_send_buffer: None,
-            reactor_backend: None,
-            reactor_threads: 1,
-        }
+        NetServerConfig::new(1).with_fleet(ServerConfig::default())
     }
 }
 
@@ -324,18 +277,15 @@ pub struct NetStats {
     pub protocol_errors: u64,
     /// Connections the reactor evicted on a deadline: a partial frame
     /// that stopped completing (slow loris) or replies the peer stopped
-    /// reading. Always zero under
-    /// [`ServingMode::ThreadPerConnection`], whose write timeout kills
-    /// silently at the socket layer.
+    /// reading.
     pub idle_teardowns: u64,
-    /// Reactor event-loop threads serving connections; zero under
-    /// [`ServingMode::ThreadPerConnection`].
+    /// Reactor event-loop threads serving connections.
     pub reactors: usize,
     /// The inner [`QueryServer`]'s per-shard telemetry.
     pub fleet: FleetStats,
 }
 
-/// The wire-level metrics, shared by whichever backend serves — one
+/// The wire-level metrics, shared by every reactor thread — one
 /// instance per [`NetServer`], read by [`NetServer::stats`]. Normally
 /// built with [`Telemetry::new`] over the fleet's [`Registry`] so one
 /// `Request::Stats` snapshot covers the whole serving stack; the
@@ -410,12 +360,11 @@ impl Telemetry {
     }
 }
 
-/// Default bound on one blocked reply write: long enough for any live
+/// Default bound on one stalled reply write: long enough for any live
 /// client to drain its receive window, short enough that a vanished peer
-/// cannot park a writer thread — or [`NetServer::shutdown`] / `Drop`,
-/// which join it — indefinitely. The reactor applies the same bound per
-/// queued frame: no completed-frame flush for this long tears the
-/// connection down.
+/// cannot hold [`NetServer::shutdown`] / `Drop`, which wait for every
+/// queued reply, indefinitely. No completed-frame flush for this long
+/// tears the connection down.
 pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default slow-loris bound: how long the reactor lets a partial frame
@@ -424,429 +373,47 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Cap on unanswered-or-unwritten requests per connection. This is the
 /// reply-side half of the backpressure contract: completed replies wait
-/// on the connection's channel only until the writer ships them, so a
-/// client that pipelines without reading would otherwise make the server
-/// buffer unboundedly. At the cap, the connection's reader stops reading
-/// (TCP pushes back on the client) until the writer catches up. Above
+/// in the connection's write queue only until they flush, so a client
+/// that pipelines without reading would otherwise make the server buffer
+/// unboundedly. At the cap, the reactor stops reading the connection
+/// (TCP pushes back on the client) until its replies flush. Above
 /// the client library's `PIPELINE_WINDOW`, so well-behaved clients never
 /// hit it.
 pub const MAX_CONN_INFLIGHT: usize = 64;
-
-/// Counts one connection's requests between fleet submission and reply
-/// write-out, blocking the reader at [`MAX_CONN_INFLIGHT`].
-#[derive(Default)]
-struct InflightGate {
-    count: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl InflightGate {
-    /// Blocks until a slot is free, then takes it.
-    fn acquire(&self) {
-        let mut count = self.count.lock().expect("gate lock");
-        while *count >= MAX_CONN_INFLIGHT {
-            count = self.cv.wait(count).expect("gate lock");
-        }
-        *count += 1;
-    }
-
-    /// Returns a slot (reply written, dropped, or answered inline).
-    fn release(&self) {
-        let mut count = self.count.lock().expect("gate lock");
-        *count -= 1;
-        drop(count);
-        self.cv.notify_one();
-    }
-}
-
-struct Shared {
-    closed: AtomicBool,
-    max_frame_bytes: u64,
-    write_timeout: Duration,
-    #[cfg_attr(not(unix), allow(dead_code))]
-    conn_send_buffer: Option<u32>,
-    telemetry: Arc<Telemetry>,
-    /// The fleet's metric registry — the source for inline
-    /// `Frame::StatsRequest` answers.
-    registry: Registry,
-    next_conn: AtomicU64,
-    conns: Mutex<HashMap<u64, ConnEntry>>,
-}
-
-impl Shared {
-    /// Called by a connection's writer as its last act: drop the
-    /// connection's registry entry — and with it the registry fd — so a
-    /// long-lived server under churn does not accumulate dead sockets.
-    /// If the accept loop has not attached the thread handles yet (a
-    /// connection that lived and died faster than registration), leave a
-    /// tombstone for it to collect instead.
-    fn reap(&self, id: u64) {
-        let mut conns = self.conns.lock().expect("conns lock");
-        if let Some(entry) = conns.get_mut(&id) {
-            if entry.writer.is_some() {
-                conns.remove(&id);
-            } else {
-                entry.done = true;
-            }
-        }
-    }
-}
-
-/// One live connection: the registry clone used to force the reader off
-/// its blocking read, plus the two thread handles (attached by the
-/// accept loop just after spawning; `done` marks a connection whose
-/// writer finished before that attachment). Finished connections remove
-/// their own entry — dropping the in-thread `JoinHandle`s detaches the
-/// already-exiting threads — so the registry holds only live sockets.
-struct ConnEntry {
-    stream: TcpStream,
-    reader: Option<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
-    done: bool,
-}
-
-/// Writes one frame under the sink lock (writer thread and the reader's
-/// fatal-notice path share the socket; the lock keeps frames atomic).
-fn write_locked(sink: &Mutex<TcpStream>, payload: &[u8]) -> Result<(), NetError> {
-    let mut stream = sink.lock().expect("sink lock");
-    frame::write_frame(&mut *stream, payload)
-}
-
-/// The per-connection reader: slices frames off the socket, decodes, and
-/// submits into the fleet under the connection's id tags. Exits on client
-/// disconnect, server shutdown (the registry half-closes the socket) or
-/// the first undecodable frame. Dropping `replies` on exit is what lets
-/// the writer drain every still-owed reply and then close.
-fn run_reader(
-    mut stream: TcpStream,
-    handle: ServiceHandle,
-    replies: Sender<TaggedReply>,
-    gate: Arc<InflightGate>,
-    sink: Arc<Mutex<TcpStream>>,
-    shared: Arc<Shared>,
-) {
-    loop {
-        // Best-effort id for protocol-error notices: the offending
-        // frame's request id when the decoder got far enough, else 0.
-        let mut notice_id = 0;
-        let fatal = match frame::read_frame(&mut stream, shared.max_frame_bytes) {
-            Ok(None) => break,
-            Ok(Some(payload)) => {
-                let decode_started = obs::now();
-                match codec::decode_frame(&payload) {
-                    Ok(Frame::Request { id, request }) => {
-                        shared.telemetry.decode_ns.record_elapsed(decode_started);
-                        shared.telemetry.frames_in.incr();
-                        // Backpressure, both directions: the gate blocks while
-                        // too many of this connection's replies are completed
-                        // but unwritten (a client pipelining without reading),
-                        // and submit_tagged blocks while the target shard's
-                        // bounded queue is full. Either way this loop stops
-                        // reading and TCP flow control pushes back on the
-                        // client. Server-level rejections (only ShutDown here;
-                        // the tagged path never uses try_submit) are answered
-                        // inline so a pipelining client is never left waiting.
-                        gate.acquire();
-                        match handle.submit_tagged(id, request, &replies) {
-                            Ok(()) => continue,
-                            Err(e) => {
-                                // No reply will reach the writer's channel.
-                                gate.release();
-                                let notice = codec::encode_reply(id, &Err(e));
-                                if write_locked(&sink, &notice).is_err() {
-                                    break;
-                                }
-                                shared.telemetry.frames_out.incr();
-                                continue;
-                            }
-                        }
-                    }
-                    Ok(Frame::StatsRequest { id }) => {
-                        // Answered inline from the registry — a stats probe
-                        // never competes with data requests for shard queue
-                        // slots or gate capacity, and its reply is excluded
-                        // from `net.write_ns` so that histogram's count
-                        // keeps tracking served data requests.
-                        //
-                        // The snapshot is taken *under the sink lock*: any
-                        // data reply the client has already seen was written
-                        // under this lock and its bookkeeping completed
-                        // before the lock released, so the snapshot counts
-                        // every reply that prompted this probe.
-                        shared.telemetry.frames_in.incr();
-                        let mut stream = sink.lock().expect("sink lock");
-                        let payload = codec::encode_stats_reply(id, &shared.registry.snapshot());
-                        if frame::write_frame(&mut *stream, &payload).is_err() {
-                            break;
-                        }
-                        drop(stream);
-                        shared.telemetry.frames_out.incr();
-                        continue;
-                    }
-                    Ok(
-                        Frame::Reply { id, .. }
-                        | Frame::ProtocolError { id, .. }
-                        | Frame::StatsReply { id, .. },
-                    ) => {
-                        notice_id = id;
-                        WireError::malformed("clients may send only request frames")
-                    }
-                    Err(e) => {
-                        // The header (and its request id) may have parsed even
-                        // though the body did not; name the request if so.
-                        notice_id = codec::peek_request_id(&payload).unwrap_or(0);
-                        e
-                    }
-                }
-            }
-            // An oversized length prefix is a protocol error worth
-            // reporting; transport failures and disconnects are not.
-            Err(NetError::Wire(e)) => e,
-            Err(_) => break,
-        };
-        // Undecodable input: report which way it failed, then drop the
-        // connection — after a framing error there is no resync point.
-        shared.telemetry.protocol_errors.incr();
-        if write_locked(&sink, &codec::encode_protocol_error(notice_id, &fatal)).is_ok() {
-            shared.telemetry.frames_out.incr();
-        }
-        break;
-    }
-    let _ = stream.shutdown(Shutdown::Read);
-}
-
-/// The per-connection writer: drains the tagged reply channel — fed by
-/// every shard this connection's requests landed on, in completion order —
-/// and writes each reply frame. The channel closes only when the reader
-/// has exited *and* every in-flight request has been answered, so by
-/// construction every queued reply is written before the socket closes.
-/// The writer is the connection's last thread to finish, so it also reaps
-/// the registry entry.
-fn run_writer(
-    conn_id: u64,
-    replies: Receiver<TaggedReply>,
-    gate: Arc<InflightGate>,
-    sink: Arc<Mutex<TcpStream>>,
-    shared: Arc<Shared>,
-) {
-    // After a write failure the client is gone and remaining replies have
-    // no destination — but the channel must still be drained, releasing
-    // the gate each time, or a reader parked at the in-flight cap would
-    // never wake to observe the dead socket.
-    let mut client_gone = false;
-    while let Ok(reply) = replies.recv() {
-        if !client_gone {
-            let payload = codec::encode_reply(reply.id, &reply.result.map_err(ServerError::Query));
-            let write_started = obs::now();
-            let mut stream = sink.lock().expect("sink lock");
-            if frame::write_frame(&mut *stream, &payload).is_ok() {
-                // Recorded while still holding the sink lock: a stats
-                // probe prompted by this very reply snapshots under the
-                // same lock, so the sample is visible before the snapshot
-                // can be taken.
-                shared.telemetry.write_ns.record_elapsed(write_started);
-                shared.telemetry.frames_out.incr();
-            } else {
-                client_gone = true;
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        gate.release();
-    }
-    let _ = sink.lock().expect("sink lock").shutdown(Shutdown::Both);
-    shared.reap(conn_id);
-}
-
-/// The accept loop polls a nonblocking listener: a blocking `accept`
-/// would need an out-of-band wake-up at shutdown (fragile for wildcard
-/// or interface binds), while a poll observes the `closed` flag within
-/// one 5 ms sleep interval on any bind, so `shutdown`/`Drop` joins this
-/// thread deterministically and connection-setup latency stays small.
-fn accept_loop(listener: TcpListener, handle: ServiceHandle, shared: Arc<Shared>) {
-    loop {
-        if shared.closed.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => {
-                // Persistent accept errors (fd exhaustion, EMFILE) must
-                // not busy-spin a core; back off briefly and retry.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        // The listener is nonblocking; the per-connection socket must not
-        // be (inheritance of the flag is platform-dependent).
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        let (registry, sink_stream) = match (stream.try_clone(), stream.try_clone()) {
-            (Ok(a), Ok(b)) => (a, b),
-            // Out of fds: drop the socket; the client sees a reset, and
-            // the connection is never counted as serviced.
-            _ => continue,
-        };
-        // One frame per reply either way (write_frame coalesces prefix +
-        // payload), so turn Nagle off like the client does; and arm the
-        // write bound now — a socket timeout installed later, after a
-        // send has parked on a stalled peer, would not wake it.
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(shared.write_timeout));
-        #[cfg(unix)]
-        crate::reactor::cap_send_buffer(&stream, shared.conn_send_buffer);
-        shared.telemetry.connections.incr();
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        shared.conns.lock().expect("conns lock").insert(
-            conn_id,
-            ConnEntry {
-                stream: registry,
-                reader: None,
-                writer: None,
-                done: false,
-            },
-        );
-        let sink = Arc::new(Mutex::new(sink_stream));
-        let gate = Arc::new(InflightGate::default());
-        let (reply_tx, reply_rx) = channel();
-        let reader = {
-            let shared = Arc::clone(&shared);
-            let handle = handle.clone();
-            let sink = Arc::clone(&sink);
-            let gate = Arc::clone(&gate);
-            std::thread::Builder::new()
-                .name("cc-net-reader".into())
-                .spawn(move || run_reader(stream, handle, reply_tx, gate, sink, shared))
-                .expect("spawn connection reader")
-        };
-        let writer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cc-net-writer".into())
-                .spawn(move || run_writer(conn_id, reply_rx, gate, sink, shared))
-                .expect("spawn connection writer")
-        };
-        let mut conns = shared.conns.lock().expect("conns lock");
-        if let Some(entry) = conns.get_mut(&conn_id) {
-            if entry.done {
-                // The whole connection finished before this attachment;
-                // dropping the handles detaches the exited threads.
-                conns.remove(&conn_id);
-            } else {
-                entry.reader = Some(reader);
-                entry.writer = Some(writer);
-            }
-        }
-    }
-}
 
 /// A TCP server exposing a [`QueryServer`] fleet over the `cc-net` wire
 /// protocol. See the [crate docs](crate) for the protocol and the
 /// architecture.
 ///
-/// By default ([`ServingMode::Reactor`]) every accepted connection is
-/// multiplexed on one event-driven reactor thread: frames → requests →
-/// [`ServiceHandle`] tagged fan-in → reply write queues, with
-/// backpressure surfacing as read-pausing. One connection can pipeline
-/// any number of requests and receives replies in completion order,
-/// tagged with its request ids; a full shard queue pauses that
-/// connection's reads, which TCP propagates to the client. The legacy
-/// [`ServingMode::ThreadPerConnection`] core (a reader and writer thread
-/// per socket) serves identically and remains as a baseline.
+/// Every accepted connection is multiplexed on an event-driven reactor
+/// thread: frames → requests → [`ServiceHandle`] tagged fan-in → reply
+/// write queues, with backpressure surfacing as read-pausing. One
+/// connection can pipeline any number of requests and receives replies
+/// in completion order, tagged with its request ids; a full shard queue
+/// pauses that connection's reads, which TCP propagates to the client.
 pub struct NetServer {
     local_addr: SocketAddr,
-    telemetry: Arc<Telemetry>,
-    backend: Backend,
+    /// Shared with the reactor threads (wire telemetry included);
+    /// `closed` plus a ring on every doorbell in `wakers` gets their
+    /// attention, and joining `threads` completes the drain.
+    shared: Arc<ReactorShared>,
+    wakers: Vec<ReplyWaker>,
+    threads: Vec<JoinHandle<()>>,
     fleet: Option<QueryServer>,
-}
-
-/// The running serving core and its shutdown levers.
-enum Backend {
-    /// Accept loop + per-connection thread pairs, coordinated through
-    /// the connection registry.
-    Threaded {
-        shared: Arc<Shared>,
-        accept: Option<JoinHandle<()>>,
-    },
-    /// The reactor fleet: one or more event-loop threads; `closed` + a
-    /// ring on every doorbell get their attention, joining them completes
-    /// the drain.
-    #[cfg(unix)]
-    Reactor {
-        shared: Arc<crate::reactor::ReactorShared>,
-        wakers: Vec<cc_server::ReplyWaker>,
-        threads: Vec<JoinHandle<()>>,
-    },
-}
-
-impl Backend {
-    /// How many reactor event loops serve connections — zero when the
-    /// threaded core does.
-    fn reactors(&self) -> usize {
-        match self {
-            Backend::Threaded { .. } => 0,
-            #[cfg(unix)]
-            Backend::Reactor {
-                threads, wakers, ..
-            } => threads.len().max(wakers.len()),
-        }
-    }
 }
 
 impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mode = match &self.backend {
-            Backend::Threaded { .. } => "thread-per-connection",
-            #[cfg(unix)]
-            Backend::Reactor { .. } => "reactor",
-        };
         f.debug_struct("NetServer")
             .field("local_addr", &self.local_addr)
-            .field("backend", &mode)
+            .field("reactors", &self.wakers.len())
             .finish_non_exhaustive()
-    }
-}
-
-/// Spawns the thread-per-connection core: the fallback for
-/// [`ServingMode::Reactor`] on non-unix targets, the whole story for
-/// [`ServingMode::ThreadPerConnection`].
-fn spawn_threaded(
-    listener: TcpListener,
-    handle: ServiceHandle,
-    telemetry: Arc<Telemetry>,
-    registry: Registry,
-    config: &NetServerConfig,
-) -> Backend {
-    let shared = Arc::new(Shared {
-        closed: AtomicBool::new(false),
-        max_frame_bytes: config.max_frame_bytes,
-        write_timeout: config.write_timeout,
-        conn_send_buffer: config.conn_send_buffer,
-        telemetry,
-        registry,
-        next_conn: AtomicU64::new(0),
-        conns: Mutex::new(HashMap::new()),
-    });
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("cc-net-accept".into())
-            .spawn(move || accept_loop(listener, handle, shared))
-            .expect("spawn accept loop")
-    };
-    Backend::Threaded {
-        shared,
-        accept: Some(accept),
     }
 }
 
 impl NetServer {
     /// Spawns the fleet, binds `addr` (use port 0 for an ephemeral port)
-    /// and starts the configured serving core.
+    /// and starts the reactor threads.
     ///
     /// # Errors
     ///
@@ -860,52 +427,27 @@ impl NetServer {
         // The wire layer records into the fleet's own registry, so one
         // stats snapshot spans sockets, queues and sessions.
         let registry = fleet.registry().clone();
-        let telemetry = Arc::new(Telemetry::new(&registry));
-        let backend = match config.serving_mode {
-            #[cfg(unix)]
-            ServingMode::Reactor => {
-                let shared = Arc::new(crate::reactor::ReactorShared {
-                    closed: AtomicBool::new(false),
-                    telemetry: Arc::clone(&telemetry),
-                    registry: registry.clone(),
-                    max_frame_bytes: config.max_frame_bytes,
-                    write_timeout: config.write_timeout,
-                    idle_timeout: config.idle_timeout,
-                    conn_send_buffer: config.conn_send_buffer,
-                });
-                let (threads, wakers) = crate::reactor::spawn(
-                    listener,
-                    fleet.handle(),
-                    Arc::clone(&shared),
-                    config.resolved_reactor_backend(),
-                    config.reactor_threads,
-                )?;
-                Backend::Reactor {
-                    shared,
-                    wakers,
-                    threads,
-                }
-            }
-            #[cfg(not(unix))]
-            ServingMode::Reactor => spawn_threaded(
-                listener,
-                fleet.handle(),
-                Arc::clone(&telemetry),
-                registry.clone(),
-                &config,
-            ),
-            ServingMode::ThreadPerConnection => spawn_threaded(
-                listener,
-                fleet.handle(),
-                Arc::clone(&telemetry),
-                registry.clone(),
-                &config,
-            ),
-        };
+        let shared = Arc::new(ReactorShared {
+            closed: AtomicBool::new(false),
+            telemetry: Telemetry::new(&registry),
+            registry,
+            max_frame_bytes: config.max_frame_bytes,
+            write_timeout: config.write_timeout,
+            idle_timeout: config.idle_timeout,
+            conn_send_buffer: config.conn_send_buffer,
+        });
+        let (threads, wakers) = crate::reactor::spawn(
+            listener,
+            fleet.handle(),
+            Arc::clone(&shared),
+            config.resolved_reactor_backend(),
+            config.reactor_threads,
+        )?;
         Ok(NetServer {
             local_addr,
-            telemetry,
-            backend,
+            shared,
+            wakers,
+            threads,
             fleet: Some(fleet),
         })
     }
@@ -931,9 +473,9 @@ impl NetServer {
     /// while the server runs; for quiescent totals use the snapshot
     /// returned by [`NetServer::shutdown`].
     pub fn stats(&self) -> NetStats {
-        self.telemetry.snapshot(
+        self.shared.telemetry.snapshot(
             self.fleet.as_ref().expect("fleet lives until drop").stats(),
-            self.backend.reactors(),
+            self.wakers.len(),
         )
     }
 
@@ -945,67 +487,29 @@ impl NetServer {
     /// closes.
     pub fn shutdown(mut self) -> NetStats {
         self.shutdown_impl();
-        let reactors = self.backend.reactors();
-        self.telemetry.snapshot(
+        self.shared.telemetry.snapshot(
             self.fleet
                 .take()
                 .expect("first shutdown consumes the fleet")
                 .shutdown(),
-            reactors,
+            self.wakers.len(),
         )
     }
 
     fn shutdown_impl(&mut self) {
-        match &mut self.backend {
-            Backend::Threaded { shared, accept } => {
-                if shared.closed.swap(true, Ordering::AcqRel) {
-                    return;
-                }
-                // The polling accept loop observes `closed` within one
-                // sleep interval (the listener drops with it), on any
-                // bind address.
-                if let Some(accept) = accept.take() {
-                    let _ = accept.join();
-                }
-                let conns = std::mem::take(&mut *shared.conns.lock().expect("conns lock"));
-                for conn in conns.values() {
-                    // Half-close: readers come off their blocking read and
-                    // exit; writers keep the write side until every reply
-                    // is out — the accept-time write timeout bounds that
-                    // drain against clients that stopped reading, so these
-                    // joins cannot park forever.
-                    let _ = conn.stream.shutdown(Shutdown::Read);
-                }
-                for conn in conns.into_values() {
-                    if let Some(reader) = conn.reader {
-                        let _ = reader.join();
-                    }
-                    if let Some(writer) = conn.writer {
-                        let _ = writer.join();
-                    }
-                }
-            }
-            #[cfg(unix)]
-            Backend::Reactor {
-                shared,
-                wakers,
-                threads,
-            } => {
-                if shared.closed.swap(true, Ordering::AcqRel) {
-                    return;
-                }
-                // Ringing every doorbell gets each loop off its wait; the
-                // reactors then half-close every connection, answer
-                // everything already submitted, flush and exit — the
-                // write/idle deadlines bound the drain against stalled
-                // peers, so these joins cannot park forever.
-                for waker in wakers.iter() {
-                    waker();
-                }
-                for thread in threads.drain(..) {
-                    let _ = thread.join();
-                }
-            }
+        if self.shared.closed.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Ringing every doorbell gets each loop off its wait; the
+        // reactors then half-close every connection, answer everything
+        // already submitted, flush and exit — the write/idle deadlines
+        // bound the drain against stalled peers, so these joins cannot
+        // park forever.
+        for waker in &self.wakers {
+            waker();
+        }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
         // Operator-facing exit report, gated behind `CC_OBS_DUMP` so test
         // and CI output stays quiet. Runs once: a second shutdown (or the

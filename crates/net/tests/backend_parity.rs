@@ -7,8 +7,6 @@
 //! (it re-derives interest from scratch every iteration); edge-triggered
 //! epoll must not be distinguishable from it on the wire.
 
-#![cfg(unix)]
-
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

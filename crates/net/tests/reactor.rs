@@ -6,8 +6,6 @@
 //! time. Thread-per-connection servers get this isolation for free; an
 //! event loop has to earn it.
 
-#![cfg(unix)]
-
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

@@ -24,7 +24,7 @@
 //! * a shard drains its queue in gulps and **coalesces** the drained run
 //!   into per-clique-size batches served back-to-back on one warm
 //!   session — the server-side analogue of
-//!   [`CliqueSession::run_many`](cc_sim::CliqueSession::run_many) —
+//!   `cc_sim::CliqueSession::run_many` —
 //!   recording batch-size telemetry as it goes;
 //! * [`QueryServer::shutdown`] is **graceful**: in-flight and queued
 //!   requests are answered before the workers exit, and late callers get
@@ -35,13 +35,13 @@
 //!
 //! The contract is inherited from the session layer and asserted under
 //! concurrent load in the workspace's `tests/server.rs`: **every response
-//! is bit-identical to a direct sequential [`CliqueService`]
-//! call** — sharding, coalescing and interleaving are invisible in the
-//! answers, exactly as the paper's determinism is invisible to
-//! scheduling. (Amortizing fixed per-invocation costs across many
-//! instances is the same argument as the multi-instance scheduling of
-//! Chang–Huang–Su, *Deterministic Expander Routing: Faster and More
-//! Versatile*.)
+//! is bit-identical to a direct sequential
+//! [`CliqueService`](cc_core::CliqueService) call** — sharding,
+//! coalescing and interleaving are invisible in the answers, exactly as
+//! the paper's determinism is invisible to scheduling. (Amortizing fixed
+//! per-invocation costs across many instances is the same argument as
+//! the multi-instance scheduling of Chang–Huang–Su, *Deterministic
+//! Expander Routing: Faster and More Versatile*.)
 //!
 //! ```rust
 //! use cc_server::{QueryServer, Request, ServerConfig};

@@ -61,8 +61,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use crate::node::NodeId;
 
 /// Bits consumed per pass by the fixed-digit paths (the parallel driver's
-/// chunk histograms; the sequential path sizes its digits adaptively, see
-/// [`MAX_DIGIT_BITS`]).
+/// chunk histograms; the sequential path sizes its digits adaptively).
 pub const RADIX_BITS: u32 = 8;
 
 /// Buckets per digit (`2^RADIX_BITS`).

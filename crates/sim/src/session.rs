@@ -156,7 +156,7 @@ impl<O> BatchReport<O> {
 
 /// A reusable simulation substrate: worker threads, message-buffer piles,
 /// delivery scratch and the common-knowledge cache all survive across
-/// protocol runs. See the [module documentation](self) for when to prefer
+/// protocol runs. See the [crate documentation](crate) for when to prefer
 /// a session over a one-shot [`Simulator`](crate::Simulator).
 ///
 /// ```rust

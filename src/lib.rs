@@ -63,7 +63,5 @@ pub use cc_sim as sim;
 pub use cc_workloads as workloads;
 
 pub use cc_core::{CliqueService, CongestedClique, CoreError, Outcome};
-pub use cc_net::{
-    CcClient, NetError, NetServer, NetServerConfig, ReactorBackend, ServingMode, WireError,
-};
+pub use cc_net::{CcClient, NetError, NetServer, NetServerConfig, ReactorBackend, WireError};
 pub use cc_server::{QueryServer, Request, ServerConfig, ServerError, ServiceHandle};

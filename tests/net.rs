@@ -1,10 +1,11 @@
 //! Network-parity contract of the `cc-net` layer: a multi-threaded
 //! [`CcClient`] swarm pushing ≥ 64 mixed requests (all seven entry
 //! points, errors mid-stream, pipelined with out-of-order completion)
-//! through a loopback [`NetServer`] on 1- and 4-shard fleets must yield
-//! results **bit-identical** to sequential [`CliqueService`] execution —
-//! the TCP hop, the codec, the per-connection multiplexing and the shard
-//! interleaving all invisible in the answers. Plus: malformed frames are
+//! through a loopback [`NetServer`] on 1- and 4-shard fleets, under both
+//! reactor backends, must yield results **bit-identical** to sequential
+//! [`CliqueService`] execution — the TCP hop, the codec, the readiness
+//! backend, the per-connection multiplexing and the shard interleaving
+//! all invisible in the answers. Plus: malformed frames are
 //! rejected deterministically without hurting other connections, and
 //! shutdown drains every queued reply before closing sockets.
 
@@ -17,8 +18,8 @@ use congested_clique::net::frame;
 use congested_clique::server::QueryResult;
 use congested_clique::workloads::RequestMix;
 use congested_clique::{
-    CcClient, CliqueService, NetError, NetServer, NetServerConfig, Request, ServerConfig,
-    ServerError, ServingMode, WireError,
+    CcClient, CliqueService, NetError, NetServer, NetServerConfig, ReactorBackend, Request,
+    ServerConfig, ServerError, WireError,
 };
 
 /// The mixed workload: 58 generated requests over three clique sizes
@@ -127,15 +128,15 @@ fn tcp_swarm_is_bit_identical_to_sequential_service() {
         "want plenty of successes too"
     );
 
-    // Both serving cores, same wire contract: the event-driven reactor
-    // (the default) and the thread-per-connection baseline must be
-    // indistinguishable in answers *and* in wire telemetry.
-    for mode in [ServingMode::Reactor, ServingMode::ThreadPerConnection] {
+    // Both readiness backends, same wire contract: epoll and its
+    // `poll(2)` oracle must be indistinguishable in answers *and* in wire
+    // telemetry.
+    for backend in [ReactorBackend::Epoll, ReactorBackend::Poll] {
         for shards in [1usize, 4] {
             let server = NetServer::bind(
                 "127.0.0.1:0",
                 NetServerConfig::new(shards)
-                    .with_serving_mode(mode)
+                    .with_reactor_backend(backend)
                     .with_fleet(
                         ServerConfig::new(shards)
                             .with_queue_capacity(16)
@@ -148,7 +149,7 @@ fn tcp_swarm_is_bit_identical_to_sequential_service() {
                 assert_eq!(
                     got,
                     want,
-                    "{shards}-shard {mode:?} TCP server diverged on request {index} ({:?} n={})",
+                    "{shards}-shard {backend:?} TCP server diverged on request {index} ({:?} n={})",
                     std::mem::discriminant(&requests[index]),
                     requests[index].n()
                 );

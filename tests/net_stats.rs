@@ -2,14 +2,16 @@
 //! under a pipelined mixed workload answers [`CcClient::stats`] with a
 //! registry snapshot whose per-stage latency histograms — queue wait,
 //! session run, reply write — each hold **exactly one sample per
-//! request the client sent**, under both serving modes. The snapshot is
+//! request the client sent**, under both reactor backends. The snapshot is
 //! exact, not approximate: every stage's bookkeeping completes before
 //! the reply it describes reaches the client, so a probe sent after the
 //! last reply can never under-count.
 
 use congested_clique::obs::Snapshot;
 use congested_clique::workloads::RequestMix;
-use congested_clique::{CcClient, NetServer, NetServerConfig, Request, ServerConfig, ServingMode};
+use congested_clique::{
+    CcClient, NetServer, NetServerConfig, ReactorBackend, Request, ServerConfig,
+};
 
 /// A mixed, multi-size workload whose requests all succeed — so served
 /// counts, reply counts and histogram counts must line up exactly.
@@ -25,14 +27,12 @@ fn workload() -> Vec<Request> {
         .generate(48, 4242)
 }
 
-fn server_config(mode: ServingMode) -> NetServerConfig {
-    NetServerConfig::new(3)
-        .with_fleet(
-            ServerConfig::new(3)
-                .with_queue_capacity(16)
-                .with_coalesce_limit(4),
-        )
-        .with_serving_mode(mode)
+fn server_config() -> NetServerConfig {
+    NetServerConfig::new(3).with_fleet(
+        ServerConfig::new(3)
+            .with_queue_capacity(16)
+            .with_coalesce_limit(4),
+    )
 }
 
 /// Sums one per-shard counter family (`fleet.shard{i}.<field>`) across
@@ -52,10 +52,11 @@ fn fleet_total(snapshot: &Snapshot, field: &str) -> u64 {
         .sum()
 }
 
-fn stats_snapshot_is_exact(mode: ServingMode) {
+fn stats_snapshot_is_exact(backend: ReactorBackend) {
     let requests = workload();
     let sent = requests.len() as u64;
-    let server = NetServer::bind("127.0.0.1:0", server_config(mode)).expect("bind");
+    let server = NetServer::bind("127.0.0.1:0", server_config().with_reactor_backend(backend))
+        .expect("bind");
     let mut client = CcClient::connect(server.local_addr()).expect("connect");
 
     let results = client.pipeline(&requests).expect("pipeline");
@@ -85,7 +86,7 @@ fn stats_snapshot_is_exact(mode: ServingMode) {
         assert_eq!(
             hist.count(),
             sent,
-            "{stage}: want one sample per request under {mode:?}"
+            "{stage}: want one sample per request under {backend:?}"
         );
     }
 
@@ -124,12 +125,8 @@ fn stats_snapshot_is_exact(mode: ServingMode) {
 
 #[test]
 fn reactor_stats_snapshot_is_exact() {
-    stats_snapshot_is_exact(ServingMode::Reactor);
-}
-
-#[test]
-fn threaded_stats_snapshot_is_exact() {
-    stats_snapshot_is_exact(ServingMode::ThreadPerConnection);
+    stats_snapshot_is_exact(ReactorBackend::Epoll);
+    stats_snapshot_is_exact(ReactorBackend::Poll);
 }
 
 /// Interleaving: stats probes between pipelined bursts see strictly
@@ -137,7 +134,7 @@ fn threaded_stats_snapshot_is_exact() {
 #[test]
 fn stats_probes_interleave_with_data_traffic() {
     let requests = workload();
-    let server = NetServer::bind("127.0.0.1:0", server_config(ServingMode::Reactor)).expect("bind");
+    let server = NetServer::bind("127.0.0.1:0", server_config()).expect("bind");
     let mut client = CcClient::connect(server.local_addr()).expect("connect");
 
     let mut served_so_far = 0u64;
