@@ -6,7 +6,7 @@ use cc_core::routing::{RoutePayload, RoutedMessage, RoutingInstance};
 use cc_core::sorting::TaggedKey;
 use cc_core::CoreError;
 use cc_sim::util::word_bits;
-use cc_sim::{CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Simulator, Step};
+use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
 
 /// Outcome of a direct-routing run.
 #[derive(Debug)]
@@ -99,7 +99,7 @@ pub fn route_direct<P: RoutePayload>(
         .expect("n >= 1")
         .with_budget_words(16)
         .with_max_rounds(u64::from(max_pair) + 8);
-    let report = Simulator::new(spec, machines)?.run()?;
+    let report = CliqueSession::new().run(spec, machines)?;
     let mut delivered = report.outputs;
     for d in &mut delivered {
         d.sort_unstable_by_key(|x| x.key());
@@ -235,7 +235,7 @@ pub fn sort_gather(keys: &[Vec<u64>]) -> Result<GatherOutcome, CoreError> {
         .expect("n >= 1")
         .with_budget_words(16)
         .with_max_rounds(u64::from(up_rounds + down_rounds) + 8);
-    let report = Simulator::new(spec, machines)?.run()?;
+    let report = CliqueSession::new().run(spec, machines)?;
     Ok(GatherOutcome {
         metrics: report.metrics,
     })

@@ -3,7 +3,7 @@
 use crate::rand_exchange::{RandExchange, RxMsg};
 use cc_core::routing::{RouteOutcome, RoutePayload, RoutingInstance};
 use cc_core::CoreError;
-use cc_sim::{CliqueSpec, Ctx, Inbox, NodeId, NodeMachine, Simulator, Step};
+use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, NodeId, NodeMachine, Step};
 
 struct RandomRouterMachine<P: RoutePayload> {
     inner: RandExchange<cc_core::routing::RoutedMessage<P>>,
@@ -68,7 +68,7 @@ pub fn route_randomized<P: RoutePayload>(
             }
         })
         .collect();
-    let report = Simulator::new(spec, machines)?.run()?;
+    let report = CliqueSession::new().run(spec, machines)?;
     let mut delivered = report.outputs;
     for d in &mut delivered {
         d.sort_unstable_by_key(|x| x.key());

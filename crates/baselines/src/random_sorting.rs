@@ -10,7 +10,7 @@ use cc_core::CoreError;
 use cc_primitives::NodeGroup;
 use cc_rand::DetRng;
 use cc_sim::util::{isqrt, sort_cost, word_bits};
-use cc_sim::{CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Simulator, Step};
+use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
 
 /// Messages of the randomized sort.
 #[derive(Clone, Debug)]
@@ -317,7 +317,7 @@ pub fn sort_randomized(keys: &[Vec<u64>], seed: u64) -> Result<RandomSortOutcome
         .expect("n >= 1")
         .with_budget_words(512)
         .with_max_rounds(4096);
-    let report = Simulator::new(spec, machines)?.run()?;
+    let report = CliqueSession::new().run(spec, machines)?;
     let batches: Vec<Vec<TaggedKey>> = report.outputs.into_iter().map(|(b, _)| b).collect();
     let mut reference: Vec<TaggedKey> = keys
         .iter()

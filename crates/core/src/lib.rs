@@ -23,12 +23,12 @@
 //! theorems bound.
 //!
 //! Two facades bundle the common entry points: the stateless
-//! [`CongestedClique`] (a fresh simulator per call) and the stateful
+//! [`CongestedClique`] (a fresh session per call) and the stateful
 //! [`CliqueService`] (one persistent `cc_sim::CliqueSession` answering
 //! every call, amortizing thread and arena setup across queries —
 //! bit-identical answers, see [`CliqueService`]). Both expose `route`,
 //! `route_optimized`, `sort`, `global_indices`, `select`, `mode` and
-//! `small_key_census` through one shared internal executor path.
+//! `small_key_census` through the same internal drivers.
 //!
 //! The stateless facade:
 //!
@@ -53,7 +53,6 @@
 
 mod clique;
 mod error;
-mod exec;
 mod service;
 
 pub mod routing;

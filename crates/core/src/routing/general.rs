@@ -16,12 +16,11 @@
 //! at most `n ≤ 3` rounds, trivially within the 16-round bound.
 
 use crate::error::CoreError;
-use crate::exec::Exec;
 use crate::routing::instance::{RoutedMessage, RoutingInstance};
 use crate::routing::square::{RoutePayload, SqMsg, SquareRouter};
 use cc_primitives::{Driver, SubsetExchange, SxMsg};
 use cc_sim::util::{is_square, isqrt, word_bits};
-use cc_sim::{CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
+use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
 
 /// Messages of the V1/V2/V3 cross procedure.
 #[derive(Clone, Debug)]
@@ -611,27 +610,27 @@ pub fn route_with_spec<P: RoutePayload>(
     instance: &RoutingInstance<P>,
     spec: CliqueSpec,
 ) -> Result<RouteOutcome<P>, CoreError> {
-    route_with_exec(instance, spec, Exec::OneShot)
+    route_on(instance, spec, &mut CliqueSession::new())
 }
 
-/// The driver behind both [`route_with_spec`] (one-shot) and
-/// [`CliqueService::route`](crate::CliqueService::route) (persistent
-/// session): builds the per-node machines, runs them on `exec`, and
-/// verifies the delivery.
+/// The driver behind both [`route_with_spec`] (on a fresh session) and
+/// [`CliqueService::route`](crate::CliqueService::route) (on its
+/// persistent session): builds the per-node machines, runs them on
+/// `session`, and verifies the delivery.
 ///
 /// # Errors
 ///
 /// See [`route_deterministic`].
-pub(crate) fn route_with_exec<P: RoutePayload>(
+pub(crate) fn route_on<P: RoutePayload>(
     instance: &RoutingInstance<P>,
     spec: CliqueSpec,
-    mut exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<RouteOutcome<P>, CoreError> {
     let n = instance.n();
     let machines = (0..n)
         .map(|v| RouterMachine::new(instance, NodeId::new(v)))
         .collect();
-    let report = exec.run(spec, machines)?;
+    let report = session.run(spec, machines)?;
     let mut delivered = report.outputs;
     for d in &mut delivered {
         crate::sortkey::sort_routed(d);

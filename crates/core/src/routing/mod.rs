@@ -19,14 +19,14 @@ mod large;
 mod optimized;
 mod square;
 
-pub(crate) use general::route_with_exec;
+pub(crate) use general::route_on;
 pub use general::{
     max_message_bits, route_deterministic, route_with_spec, spec_for_routing, CxMsg, GMsg,
     RouteOutcome, RouterMachine,
 };
 pub use instance::{RoutedMessage, RoutingInstance};
 pub use large::{route_large_messages, LargeMessage, LargeOutcome};
-pub(crate) use optimized::route_optimized_with_exec;
+pub(crate) use optimized::route_optimized_on;
 pub use optimized::{
     route_optimized, route_optimized_with_spec, spec_for_optimized, OGMsg, OptMsg, OptRouterMachine,
 };

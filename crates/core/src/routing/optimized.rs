@@ -25,7 +25,6 @@
 //! + scatter (2) + move into destination sets (1) + Cor 3.4 (4) = **12**.
 
 use crate::error::CoreError;
-use crate::exec::Exec;
 use crate::routing::general::{CrossRouter, CxMsg, RouteOutcome};
 use crate::routing::instance::{RoutedMessage, RoutingInstance};
 use crate::routing::square::RoutePayload;
@@ -37,7 +36,9 @@ use cc_primitives::{
 };
 use cc_sim::hash::hash_u32s;
 use cc_sim::util::{is_square, isqrt, word_bits};
-use cc_sim::{BaseCtx, CliqueSpec, CommonScope, Ctx, Inbox, NodeId, NodeMachine, Payload, Step};
+use cc_sim::{
+    BaseCtx, CliqueSession, CliqueSpec, CommonScope, Ctx, Inbox, NodeId, NodeMachine, Payload, Step,
+};
 use std::sync::Arc;
 
 /// Messages of the optimized square router.
@@ -734,25 +735,25 @@ pub fn route_optimized_with_spec<P: RoutePayload>(
     instance: &RoutingInstance<P>,
     spec: CliqueSpec,
 ) -> Result<RouteOutcome<P>, CoreError> {
-    route_optimized_with_exec(instance, spec, Exec::OneShot)
+    route_optimized_on(instance, spec, &mut CliqueSession::new())
 }
 
-/// The shared driver: one-shot and session execution differ only in the
-/// [`Exec`] passed here.
+/// The shared driver: the stateless entry point runs it on a fresh
+/// session, [`CliqueService`](crate::CliqueService) on its own.
 ///
 /// # Errors
 ///
 /// See [`route_optimized`].
-pub(crate) fn route_optimized_with_exec<P: RoutePayload>(
+pub(crate) fn route_optimized_on<P: RoutePayload>(
     instance: &RoutingInstance<P>,
     spec: CliqueSpec,
-    mut exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<RouteOutcome<P>, CoreError> {
     let n = instance.n();
     let machines = (0..n)
         .map(|v| OptRouterMachine::new(instance, NodeId::new(v)))
         .collect();
-    let report = exec.run(spec, machines)?;
+    let report = session.run(spec, machines)?;
     let mut delivered = report.outputs;
     for d in &mut delivered {
         crate::sortkey::sort_routed(d);

@@ -1,7 +1,7 @@
 //! A persistent query service over the paper's protocols.
 //!
 //! [`CongestedClique`](crate::CongestedClique) is stateless: every call
-//! builds a fresh simulator — new worker threads, new message arenas.
+//! runs on a fresh session — new worker threads, new message arenas.
 //! [`CliqueService`] is the long-lived counterpart for the
 //! repeated-invocation regime (cf. Chang–Huang–Su, *Deterministic
 //! Expander Routing*: one routing substrate serving many successive
@@ -12,19 +12,18 @@
 //! Determinism carries over unchanged: each answer is bit-identical to
 //! the one the stateless facade would produce, because the session's
 //! contract is bit-identical [`RunReport`](cc_sim::RunReport)s and the
-//! protocol drivers are literally the same functions (see
-//! [`Exec`](crate::exec::Exec)).
+//! protocol drivers are literally the same functions, handed a fresh
+//! session or this one.
 
 use crate::error::CoreError;
-use crate::exec::Exec;
 use crate::routing::{
-    route_optimized_with_exec, route_with_exec, spec_for_optimized, spec_for_routing, RouteOutcome,
+    route_on, route_optimized_on, spec_for_optimized, spec_for_routing, RouteOutcome,
     RoutingInstance,
 };
 use crate::sorting::{
-    global_indices_with_exec, mode_query_with_exec, select_rank_with_exec,
-    small_key_census_with_exec, sort_with_exec, spec_for_census, spec_for_sorting, IndexOutcome,
-    ModeOutcome, SelectOutcome, SmallKeyOutcome, SortOutcome,
+    global_indices_on, mode_query_on, select_rank_on, small_key_census_on, sort_on,
+    spec_for_census, spec_for_sorting, IndexOutcome, ModeOutcome, SelectOutcome, SmallKeyOutcome,
+    SortOutcome,
 };
 use crate::CongestedClique;
 use cc_sim::{CliqueSession, Metrics, SessionStats};
@@ -72,7 +71,7 @@ impl Outcome {
 ///
 /// Prefer this over [`CongestedClique`] whenever more than a handful of
 /// queries hit the same clique size: Lenzen's protocols are
-/// constant-round, so for small `n` the per-run setup a fresh simulator
+/// constant-round, so for small `n` the per-run setup a fresh session
 /// pays (thread spawns, arena allocations) is a dominant cost that the
 /// service amortizes away. For a single query, or when `&self` access
 /// matters (the service's methods take `&mut self` because the session
@@ -135,11 +134,7 @@ impl CliqueService {
     /// See [`CongestedClique::route`].
     pub fn route(&mut self, instance: &RoutingInstance) -> Result<RouteOutcome, CoreError> {
         self.clique.check(instance.n())?;
-        route_with_exec(
-            instance,
-            spec_for_routing(instance.n()),
-            Exec::Session(&mut self.session),
-        )
+        route_on(instance, spec_for_routing(instance.n()), &mut self.session)
     }
 
     /// As [`CongestedClique::route_optimized`], on the persistent session.
@@ -152,10 +147,10 @@ impl CliqueService {
         instance: &RoutingInstance,
     ) -> Result<RouteOutcome, CoreError> {
         self.clique.check(instance.n())?;
-        route_optimized_with_exec(
+        route_optimized_on(
             instance,
             spec_for_optimized(instance.n()),
-            Exec::Session(&mut self.session),
+            &mut self.session,
         )
     }
 
@@ -166,11 +161,7 @@ impl CliqueService {
     /// See [`CongestedClique::sort`].
     pub fn sort(&mut self, keys: &[Vec<u64>]) -> Result<SortOutcome, CoreError> {
         self.clique.check(keys.len())?;
-        sort_with_exec(
-            keys,
-            spec_for_sorting(keys.len()),
-            Exec::Session(&mut self.session),
-        )
+        sort_on(keys, spec_for_sorting(keys.len()), &mut self.session)
     }
 
     /// As [`CongestedClique::global_indices`], on the persistent session.
@@ -180,11 +171,7 @@ impl CliqueService {
     /// See [`CongestedClique::global_indices`].
     pub fn global_indices(&mut self, keys: &[Vec<u64>]) -> Result<IndexOutcome, CoreError> {
         self.clique.check(keys.len())?;
-        global_indices_with_exec(
-            keys,
-            spec_for_sorting(keys.len()),
-            Exec::Session(&mut self.session),
-        )
+        global_indices_on(keys, spec_for_sorting(keys.len()), &mut self.session)
     }
 
     /// As [`CongestedClique::select`], on the persistent session.
@@ -194,12 +181,7 @@ impl CliqueService {
     /// See [`CongestedClique::select`].
     pub fn select(&mut self, keys: &[Vec<u64>], rank: u64) -> Result<SelectOutcome, CoreError> {
         self.clique.check(keys.len())?;
-        select_rank_with_exec(
-            keys,
-            rank,
-            spec_for_sorting(keys.len()),
-            Exec::Session(&mut self.session),
-        )
+        select_rank_on(keys, rank, spec_for_sorting(keys.len()), &mut self.session)
     }
 
     /// As [`CongestedClique::mode`], on the persistent session.
@@ -209,11 +191,7 @@ impl CliqueService {
     /// See [`CongestedClique::mode`].
     pub fn mode(&mut self, keys: &[Vec<u64>]) -> Result<ModeOutcome, CoreError> {
         self.clique.check(keys.len())?;
-        mode_query_with_exec(
-            keys,
-            spec_for_sorting(keys.len()),
-            Exec::Session(&mut self.session),
-        )
+        mode_query_on(keys, spec_for_sorting(keys.len()), &mut self.session)
     }
 
     /// As [`CongestedClique::small_key_census`], on the persistent
@@ -228,11 +206,11 @@ impl CliqueService {
         key_bits: u32,
     ) -> Result<SmallKeyOutcome, CoreError> {
         self.clique.check(keys.len())?;
-        small_key_census_with_exec(
+        small_key_census_on(
             keys,
             key_bits,
             spec_for_census(keys.len()),
-            Exec::Session(&mut self.session),
+            &mut self.session,
         )
     }
 }

@@ -34,13 +34,14 @@
 //! the paper's "work with subsets of size ⌊√n⌋" remark.
 
 use crate::error::CoreError;
-use crate::exec::Exec;
 use crate::routing::{OGMsg, OptRouterMachine, RoutedMessage};
 use crate::sorting::keys::{KeyBatch, TaggedKey};
 use crate::sorting::subset_sort::{A3Msg, SubsetSort};
 use cc_primitives::{Driver, NodeGroup, RbMsg, RelayBroadcast};
 use cc_sim::util::{isqrt, sort_cost, word_bits};
-use cc_sim::{CliqueSpec, CommonScope, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
+use cc_sim::{
+    CliqueSession, CliqueSpec, CommonScope, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step,
+};
 
 /// Messages of the full sort.
 #[derive(Clone, Debug)]
@@ -535,19 +536,19 @@ pub fn sort_keys(keys: &[Vec<u64>]) -> Result<SortOutcome, CoreError> {
 ///
 /// See [`sort_keys`].
 pub fn sort_with_spec(keys: &[Vec<u64>], spec: CliqueSpec) -> Result<SortOutcome, CoreError> {
-    sort_with_exec(keys, spec, Exec::OneShot)
+    sort_on(keys, spec, &mut CliqueSession::new())
 }
 
-/// The shared driver: one-shot and session execution differ only in the
-/// [`Exec`] passed here.
+/// The shared driver: the stateless entry point runs it on a fresh
+/// session, [`CliqueService`](crate::CliqueService) on its own.
 ///
 /// # Errors
 ///
 /// See [`sort_keys`].
-pub(crate) fn sort_with_exec(
+pub(crate) fn sort_on(
     keys: &[Vec<u64>],
     spec: CliqueSpec,
-    mut exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<SortOutcome, CoreError> {
     let n = keys.len();
     if n == 0 {
@@ -567,7 +568,7 @@ pub(crate) fn sort_with_exec(
     let machines = (0..n)
         .map(|v| FullSortMachine::new(n, NodeId::new(v), keys[v].clone()))
         .collect();
-    let report = exec.run(spec, machines)?;
+    let report = session.run(spec, machines)?;
     let batches: Vec<Vec<TaggedKey>> = report.outputs.iter().map(|b| b.keys.clone()).collect();
     let offsets: Vec<u64> = report.outputs.iter().map(|b| b.offset).collect();
 

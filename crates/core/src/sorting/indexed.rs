@@ -20,11 +20,10 @@
 //! router, which would make these 38 / 38 / 54.
 
 use crate::error::CoreError;
-use crate::exec::Exec;
 use crate::routing::{OGMsg, OptRouterMachine, RoutedMessage};
 use crate::sorting::full_sort::{spec_for_sorting, FsMsg, FullSortMachine, NodeBatch};
 use cc_sim::util::word_bits;
-use cc_sim::{CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
+use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
 
 /// Per-batch boundary summary broadcast after the sort.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -451,7 +450,7 @@ fn run_query(
     keys: &[Vec<u64>],
     query: Query,
     spec: CliqueSpec,
-    mut exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<(Vec<QueryAnswer>, Metrics), CoreError> {
     let n = keys.len();
     if n == 0 {
@@ -460,7 +459,7 @@ fn run_query(
     let machines = (0..n)
         .map(|v| QueryMachine::new(n, NodeId::new(v), keys[v].clone(), query.clone()))
         .collect();
-    let report = exec.run(spec, machines)?;
+    let report = session.run(spec, machines)?;
     Ok((report.outputs, report.metrics))
 }
 
@@ -486,16 +485,16 @@ pub fn global_indices_with_spec(
     keys: &[Vec<u64>],
     spec: CliqueSpec,
 ) -> Result<IndexOutcome, CoreError> {
-    global_indices_with_exec(keys, spec, Exec::OneShot)
+    global_indices_on(keys, spec, &mut CliqueSession::new())
 }
 
-/// The shared driver behind [`global_indices`]; see [`Exec`].
-pub(crate) fn global_indices_with_exec(
+/// The shared driver behind [`global_indices`], on `session`.
+pub(crate) fn global_indices_on(
     keys: &[Vec<u64>],
     spec: CliqueSpec,
-    exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<IndexOutcome, CoreError> {
-    let (answers, metrics) = run_query(keys, Query::Indices, spec, exec)?;
+    let (answers, metrics) = run_query(keys, Query::Indices, spec, session)?;
     let indices = answers
         .into_iter()
         .map(|a| match a {
@@ -527,15 +526,15 @@ pub fn select_rank_with_spec(
     rank: u64,
     spec: CliqueSpec,
 ) -> Result<SelectOutcome, CoreError> {
-    select_rank_with_exec(keys, rank, spec, Exec::OneShot)
+    select_rank_on(keys, rank, spec, &mut CliqueSession::new())
 }
 
-/// The shared driver behind [`select_rank`]; see [`Exec`].
-pub(crate) fn select_rank_with_exec(
+/// The shared driver behind [`select_rank`], on `session`.
+pub(crate) fn select_rank_on(
     keys: &[Vec<u64>],
     rank: u64,
     spec: CliqueSpec,
-    exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<SelectOutcome, CoreError> {
     let total: u64 = keys.iter().map(|l| l.len() as u64).sum();
     if rank >= total {
@@ -543,7 +542,7 @@ pub(crate) fn select_rank_with_exec(
             "rank {rank} out of range (total {total})"
         )));
     }
-    let (answers, metrics) = run_query(keys, Query::Select(rank), spec, exec)?;
+    let (answers, metrics) = run_query(keys, Query::Select(rank), spec, session)?;
     let key = match answers.first() {
         Some(QueryAnswer::Selected(k)) => *k,
         other => panic!("unexpected answer {other:?}"),
@@ -571,20 +570,20 @@ pub fn mode_query(keys: &[Vec<u64>]) -> Result<ModeOutcome, CoreError> {
 ///
 /// See [`mode_query`].
 pub fn mode_query_with_spec(keys: &[Vec<u64>], spec: CliqueSpec) -> Result<ModeOutcome, CoreError> {
-    mode_query_with_exec(keys, spec, Exec::OneShot)
+    mode_query_on(keys, spec, &mut CliqueSession::new())
 }
 
-/// The shared driver behind [`mode_query`]; see [`Exec`].
-pub(crate) fn mode_query_with_exec(
+/// The shared driver behind [`mode_query`], on `session`.
+pub(crate) fn mode_query_on(
     keys: &[Vec<u64>],
     spec: CliqueSpec,
-    exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<ModeOutcome, CoreError> {
     let total: u64 = keys.iter().map(|l| l.len() as u64).sum();
     if total == 0 {
         return Err(CoreError::invalid("mode of an empty multiset"));
     }
-    let (answers, metrics) = run_query(keys, Query::Mode, spec, exec)?;
+    let (answers, metrics) = run_query(keys, Query::Mode, spec, session)?;
     let (key, count) = match answers.first() {
         Some(QueryAnswer::Mode(k, c)) => (*k, *c),
         other => panic!("unexpected answer {other:?}"),

@@ -16,7 +16,7 @@ mod keys;
 mod small_keys;
 mod subset_sort;
 
-pub(crate) use full_sort::sort_with_exec;
+pub(crate) use full_sort::sort_on;
 pub use full_sort::{
     sort_keys, sort_with_spec, spec_for_sorting, FsMsg, FullSortMachine, SortOutcome,
 };
@@ -24,9 +24,9 @@ pub use indexed::{
     global_indices, global_indices_with_spec, mode_query, mode_query_with_spec, select_rank,
     select_rank_with_spec, IndexOutcome, ModeOutcome, SelectOutcome,
 };
-pub(crate) use indexed::{global_indices_with_exec, mode_query_with_exec, select_rank_with_exec};
+pub(crate) use indexed::{global_indices_on, mode_query_on, select_rank_on};
 pub use keys::{IndexedBatch, KeyBatch, TaggedKey, KEYS_PER_BATCH};
-pub(crate) use small_keys::small_key_census_with_exec;
+pub(crate) use small_keys::small_key_census_on;
 pub use small_keys::{
     small_key_census, small_key_census_with_spec, spec_for_census, SmallKeyOutcome,
 };

@@ -13,9 +13,8 @@
 //! assign every one of its own copies its global index.
 
 use crate::error::CoreError;
-use crate::exec::Exec;
 use cc_sim::util::ceil_log2;
-use cc_sim::{CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
+use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, Metrics, NodeId, NodeMachine, Payload, Step};
 
 /// Messages of the small-key census: presence bits and report bits.
 #[derive(Clone, Debug)]
@@ -218,20 +217,20 @@ pub fn small_key_census_with_spec(
     key_bits: u32,
     spec: CliqueSpec,
 ) -> Result<SmallKeyOutcome, CoreError> {
-    small_key_census_with_exec(keys, key_bits, spec, Exec::OneShot)
+    small_key_census_on(keys, key_bits, spec, &mut CliqueSession::new())
 }
 
-/// The shared driver: one-shot and session execution differ only in the
-/// [`Exec`] passed here.
+/// The shared driver: the stateless entry point runs it on a fresh
+/// session, [`CliqueService`](crate::CliqueService) on its own.
 ///
 /// # Errors
 ///
 /// See [`small_key_census`].
-pub(crate) fn small_key_census_with_exec(
+pub(crate) fn small_key_census_on(
     keys: &[Vec<u64>],
     key_bits: u32,
     spec: CliqueSpec,
-    mut exec: Exec<'_>,
+    session: &mut CliqueSession,
 ) -> Result<SmallKeyOutcome, CoreError> {
     let n = keys.len();
     if n == 0 {
@@ -276,7 +275,7 @@ pub(crate) fn small_key_census_with_exec(
             }
         })
         .collect();
-    let report = exec.run(spec, machines)?;
+    let report = session.run(spec, machines)?;
     let totals = report.outputs[0].0.clone();
     for (v, (t, _)) in report.outputs.iter().enumerate() {
         if t != &totals {

@@ -129,7 +129,7 @@ impl CommonCache {
     /// A [`CliqueSession`](crate::CliqueSession) calls this between runs:
     /// each protocol run must start from an empty cache — both for the
     /// determinism contract (a reused session is bit-identical to a fresh
-    /// [`Simulator`](crate::Simulator)) and for correctness, since two
+    /// one) and for correctness, since two
     /// runs may evaluate the same [`CommonScope`] from *different* inputs,
     /// which within one run would (rightly) trip the divergence assertion.
     pub fn reset(&self) {

@@ -4,7 +4,7 @@ use crate::inbox::Inbox;
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::node::NodeId;
 use crate::payload::Payload;
-use crate::spec::{CliqueSpec, ExecMode};
+use crate::spec::CliqueSpec;
 use crate::work::WorkMeter;
 
 /// The result of a node's round handler.
@@ -229,8 +229,9 @@ impl<'a, M> Ctx<'a, M> {
 /// Machines, their messages and their outputs are `Send`: the engine's
 /// contract is that every node is an *independent* state machine touching
 /// only its own state, so a round may step disjoint subsets of nodes on
-/// different workers (see [`ExecMode`]). Shared deterministic computations
-/// go through the [`CommonCache`], which is synchronized.
+/// different workers (see [`ExecMode`](crate::ExecMode)). Shared
+/// deterministic computations go through the [`CommonCache`], which is
+/// synchronized.
 pub trait NodeMachine: Send {
     /// Message type exchanged by this protocol.
     type Msg: Payload;
@@ -255,7 +256,7 @@ pub trait NodeMachine: Send {
 /// The outcome of a completed run.
 ///
 /// Compares by value (given `O: PartialEq`), so runs under different
-/// [`ExecMode`]s can be asserted bit-identical.
+/// [`ExecMode`](crate::ExecMode)s can be asserted bit-identical.
 #[derive(Debug, PartialEq)]
 pub struct RunReport<O> {
     /// Per-node outputs, indexed by node id.
@@ -276,10 +277,9 @@ pub(crate) enum Slot<O> {
 ///
 /// Chunks are the unit of hand-off to the stepping workers: the driving
 /// thread owns every chunk during delivery and sends ownership to the
-/// worker pool for the stepping half of a round (see
-/// [`WorkerPool`](crate::pool::WorkerPool)). A chunk is a handful of `Vec`
-/// headers, so moving one through a channel costs a small memcpy — no
-/// per-node cloning and no allocation.
+/// session's worker pool for the stepping half of a round. A chunk is a
+/// handful of `Vec` headers, so moving one through a channel costs a
+/// small memcpy — no per-node cloning and no allocation.
 pub(crate) struct NodeChunk<N: NodeMachine> {
     /// Global node id of the first node in this chunk.
     pub(crate) base: usize,
@@ -293,8 +293,9 @@ pub(crate) struct NodeChunk<N: NodeMachine> {
 impl<N: NodeMachine> NodeChunk<N> {
     /// Builds a chunk, drawing inbox/outbox buffers from `pile` — a stash
     /// of cleared, capacity-retaining vectors recycled from earlier runs
-    /// (see [`CliqueSession`](crate::CliqueSession)). One-shot runs pass
-    /// an empty pile and allocate lazily as rounds fill the buffers.
+    /// (see [`CliqueSession`](crate::CliqueSession)). A session's first
+    /// run of a message type gets an empty pile and allocates lazily as
+    /// rounds fill the buffers.
     pub(crate) fn new(
         base: usize,
         machines: Vec<N>,
@@ -324,7 +325,6 @@ impl<N: NodeMachine> NodeChunk<N> {
 
     /// An empty chunk left behind while the real one is out on a worker.
     /// Allocation-free: empty `Vec`s don't allocate.
-    #[cfg(feature = "parallel")]
     pub(crate) fn placeholder() -> Self {
         NodeChunk {
             base: 0,
@@ -397,130 +397,13 @@ impl<N: NodeMachine> NodeChunk<N> {
     }
 }
 
-/// Executes a set of [`NodeMachine`]s in lock-step synchronous rounds on a
-/// congested clique, enforcing the per-edge bit budget.
-///
-/// See the [crate-level documentation](crate) for a complete example.
-pub struct Simulator<N: NodeMachine> {
-    spec: CliqueSpec,
-    machines: Vec<N>,
-    common: CommonCache,
-}
-
-impl<N: NodeMachine> Simulator<N> {
-    /// Creates a simulator for `spec.n()` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NodeCountMismatch`] if `machines.len() != spec.n()`.
-    pub fn new(spec: CliqueSpec, machines: Vec<N>) -> Result<Self, SimError> {
-        if machines.len() != spec.n() {
-            return Err(SimError::NodeCountMismatch {
-                expected: spec.n(),
-                actual: machines.len(),
-            });
-        }
-        Ok(Simulator {
-            spec,
-            machines,
-            common: CommonCache::new(),
-        })
-    }
-
-    /// Runs the protocol to completion.
-    ///
-    /// The execution mode comes from [`CliqueSpec::exec`]; every mode
-    /// produces a bit-identical [`RunReport`] for a deterministic
-    /// protocol. The hot path delivers messages with a single counting
-    /// pass per sender (destinations are perfect small keys, so no
-    /// comparison sort is needed), reuses inbox/outbox buffers across
-    /// rounds, and — under a parallel mode — steps disjoint node chunks
-    /// on a pool of persistent workers that are spawned once per run and
-    /// parked between rounds.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::BudgetExceeded`] — a directed edge carried more bits
-    ///   in one round than the spec allows.
-    /// * [`SimError::TooManyRounds`] — the configured round limit was hit.
-    /// * [`SimError::Stalled`] — a round passed with no messages and no
-    ///   node finishing.
-    /// * [`SimError::MessageToFinishedNode`] /
-    ///   [`SimError::DestinationOutOfRange`] — protocol addressing bugs.
-    ///
-    /// Model violations are detected during the (always sequential)
-    /// delivery pass, scanning senders in ascending order and each
-    /// sender's destinations in ascending order — so the reported
-    /// violation is the lowest `(src, dst)` pair, independent of how many
-    /// stepping workers the mode resolves to. Messages still queued when
-    /// every node has finished follow the same rule: the lowest-id sender
-    /// is reported with its lowest queued in-range destination
-    /// ([`SimError::MessageToFinishedNode`]), or — when every queued
-    /// destination is out of range — with its lowest out-of-range one
-    /// ([`SimError::DestinationOutOfRange`]).
-    pub fn run(self) -> Result<RunReport<N::Output>, SimError> {
-        let mode = self.spec.exec();
-        if mode == ExecMode::SeedReference {
-            return self.run_seed_reference();
-        }
-        let threads = mode.worker_threads(self.spec.n());
-        self.run_engine(threads)
-    }
-
-    /// The optimized engine: bucketed delivery, buffer reuse, and
-    /// `threads`-way chunked stepping (1 = sequential, inline).
-    ///
-    /// Parallel stepping hands the chunks to a persistent
-    /// [`WorkerPool`](crate::pool::WorkerPool): workers are spawned once
-    /// here and parked between rounds.
-    fn run_engine(self, threads: usize) -> Result<RunReport<N::Output>, SimError> {
-        let Simulator {
-            spec,
-            machines,
-            common,
-            ..
-        } = self;
-        let n = spec.n();
-        let split = ChunkSplit::new(n, threads);
-        let mut chunks = build_chunks(machines, &split, &mut Vec::new());
-        let mut scratch = DeliveryScratch::new(n);
-
-        #[cfg(feature = "parallel")]
-        if chunks.len() > 1 {
-            return std::thread::scope(|scope| {
-                let mut pool = crate::pool::WorkerPool::new(scope, chunks.len(), n, &common);
-                run_rounds(
-                    &spec,
-                    &common,
-                    &mut chunks,
-                    split,
-                    &mut scratch,
-                    |round, chunks, _| pool.step_round(round, chunks),
-                )
-            });
-        }
-        run_rounds(
-            &spec,
-            &common,
-            &mut chunks,
-            split,
-            &mut scratch,
-            step_inline(n),
-        )
-    }
-
-    /// The pre-optimization engine; see [`run_seed`].
-    fn run_seed_reference(self) -> Result<RunReport<N::Output>, SimError> {
-        run_seed(&self.spec, self.machines, &self.common)
-    }
-}
-
 /// The pre-optimization engine, kept as the determinism oracle
-/// ([`ExecMode::SeedReference`]): comparison-sort delivery with a
-/// front-shifting `drain` (quadratic in per-source fan-out) and fresh
-/// inbox allocations every round. A free function so both the one-shot
-/// [`Simulator`] and a [`CliqueSession`](crate::CliqueSession) can select
-/// the mode.
+/// ([`ExecMode::SeedReference`](crate::ExecMode::SeedReference)):
+/// comparison-sort delivery with a front-shifting `drain` (quadratic in
+/// per-source fan-out) and fresh inbox allocations every round. It
+/// allocates everything per run by design; a
+/// [`CliqueSession`](crate::CliqueSession) only lends it the
+/// common-knowledge cache.
 #[allow(clippy::needless_range_loop)] // preserved verbatim from the seed
 pub(crate) fn run_seed<N: NodeMachine>(
     spec: &CliqueSpec,
@@ -694,8 +577,8 @@ pub(crate) fn run_seed<N: NodeMachine>(
 
 /// The fixed partition of `n` nodes into `count` contiguous chunks,
 /// balanced so the chunk count always equals the worker count the
-/// [`ExecMode`] resolved to: the first `n % count` chunks hold one node
-/// more than the rest. Provides the O(1) global-id → (chunk, offset)
+/// [`ExecMode`](crate::ExecMode) resolved to: the first `n % count`
+/// chunks hold one node more than the rest. Provides the O(1) global-id → (chunk, offset)
 /// mapping the delivery pass needs.
 #[derive(Clone, Copy)]
 pub(crate) struct ChunkSplit {
@@ -923,8 +806,8 @@ fn final_round_violation<'a, M: 'a>(
     None
 }
 
-/// Per-destination counting buffers, allocated once per run — or once per
-/// [`CliqueSession`](crate::CliqueSession), which keeps one across runs —
+/// Per-destination counting buffers, allocated once per
+/// [`CliqueSession`](crate::CliqueSession), which keeps them across runs,
 /// and zeroed via the `touched` list, so delivery does no per-round
 /// allocation and no comparison sorting.
 #[derive(Default)]
@@ -938,12 +821,6 @@ pub(crate) struct DeliveryScratch {
 }
 
 impl DeliveryScratch {
-    pub(crate) fn new(n: usize) -> Self {
-        let mut scratch = DeliveryScratch::default();
-        scratch.reset(n);
-        scratch
-    }
-
     /// Re-sizes the counting buffers for an `n`-node run, keeping their
     /// allocations. The per-sender zeroing discipline (only `touched`
     /// entries are ever nonzero, and they are cleared before the sender
@@ -1104,19 +981,22 @@ fn deliver_round<N: NodeMachine>(
     Ok(rm)
 }
 
-/// Convenience: builds machines with a closure of the node id and runs them.
+/// Runs one protocol instance on a fresh
+/// [`CliqueSession`](crate::CliqueSession), building machines with a
+/// closure of the node id. The session — worker threads included — is
+/// dropped before this returns, also when a node panics.
 ///
 /// # Errors
 ///
-/// Propagates any [`SimError`] from [`Simulator::new`] / [`Simulator::run`].
+/// See [`CliqueSession::run`](crate::CliqueSession::run).
 pub fn run_protocol<N, F>(spec: CliqueSpec, make: F) -> Result<RunReport<N::Output>, SimError>
 where
-    N: NodeMachine,
+    N: NodeMachine + 'static,
+    N::Msg: 'static,
+    N::Output: 'static,
     F: FnMut(NodeId) -> N,
 {
-    let n = spec.n();
-    let machines = (0..n).map(NodeId::new).map(make).collect();
-    Simulator::new(spec, machines)?.run()
+    crate::CliqueSession::new().run_protocol(spec, make)
 }
 
 #[cfg(test)]
@@ -1354,10 +1234,9 @@ mod tests {
     #[test]
     fn machine_count_must_match() {
         let spec = CliqueSpec::new(3).unwrap();
-        let err = match Simulator::new(spec, vec![Loner, Loner]) {
-            Ok(_) => panic!("expected mismatch error"),
-            Err(e) => e,
-        };
+        let err = crate::CliqueSession::new()
+            .run(spec, vec![Loner, Loner])
+            .unwrap_err();
         assert!(matches!(err, SimError::NodeCountMismatch { .. }));
     }
 

@@ -17,14 +17,14 @@
 //! * A protocol is implemented as a [`NodeMachine`]: a per-node state
 //!   machine whose [`NodeMachine::on_round`] is invoked once per synchronous
 //!   round with the messages received in that round.
-//! * The [`Simulator`] owns one machine per node, moves messages between
-//!   them, enforces the bit budget and records [`Metrics`]. It is
-//!   one-shot; a [`CliqueSession`] is the reusable counterpart that keeps
-//!   worker threads, message arenas and caches alive *across* runs —
-//!   prefer it when many (even heterogeneous) protocol runs share one
-//!   process, e.g. a query service (see [`CliqueSession`]). Reuse is
-//!   observably free: a warm session is bit-identical to a fresh
-//!   simulator in every [`ExecMode`].
+//! * A [`CliqueSession`] runs one machine per node, moves messages
+//!   between them, enforces the bit budget and records [`Metrics`]. It
+//!   keeps worker threads, message arenas and caches alive *across*
+//!   runs, so many (even heterogeneous) protocol runs can share one
+//!   process, e.g. a query service. Reuse is observably free: a warm
+//!   session is bit-identical to a fresh one in every [`ExecMode`].
+//!   [`run_protocol`] is the one-run shorthand: a fresh session, dropped
+//!   when the run ends.
 //! * Deterministic algorithms on the clique repeatedly evaluate *identical*
 //!   functions of common knowledge on every node (e.g. an edge coloring of a
 //!   globally known demand multigraph). The [`CommonCache`] memoizes such
@@ -48,27 +48,24 @@
 //!   engine: batches of [`RADIX_MIN_LEN`](radix::RADIX_MIN_LEN) or more
 //!   `(u64 key, payload)` pairs are ordered by LSD radix passes
 //!   (count → exclusive scan → scatter) whose digit width adapts to the
-//!   XOR-diff of the key range, with a chunked-parallel driver that maps
-//!   per-chunk histograms onto the session worker pool. Every path is
-//!   stable, so radix and the comparison fallback (kept as the test
-//!   oracle, and selectable at runtime via `CC_RADIX=off`) produce
-//!   bit-identical orders.
+//!   XOR-diff of the key range. Every path is stable, so radix and the
+//!   comparison fallback (kept as the test oracle, and selectable at
+//!   runtime via `CC_RADIX=off`) produce bit-identical orders.
 //! * **Buffers are recycled**: outboxes, inboxes and the delivery scratch
-//!   are allocated once per run and keep their capacity across rounds —
+//!   keep their capacity across rounds and across a session's runs —
 //!   including the radix sort's [`RadixScratch`](radix::RadixScratch) —
 //!   so steady-state rounds perform no allocation for message movement.
-//! * **Stepping** runs `on_round` for disjoint chunks of nodes on a
-//!   **persistent worker pool** when the `parallel` cargo feature (on by
-//!   default) is enabled and the selected [`ExecMode`] resolves to more
-//!   than one worker: workers are spawned once per run, parked on their
-//!   job channel between rounds, and each round receive ownership of
-//!   their node chunk (a few `Vec` headers), step it, and hand it back.
-//!   The per-round hand-off is a channel send, so even small cliques
-//!   parallelize profitably (see [`PARALLEL_AUTO_THRESHOLD`] and
-//!   [`PARALLEL_MIN_CHUNK`]). Under a [`CliqueSession`] the pool
-//!   outlives the *run* too: session workers are type-erased and parked
-//!   between runs, so a batch of protocol runs — even of different
-//!   protocols — spawns no threads at all after the first.
+//! * **Stepping** runs `on_round` for disjoint chunks of nodes on the
+//!   session's **persistent worker pool** when the selected [`ExecMode`]
+//!   resolves to more than one worker: workers are spawned on first use,
+//!   parked on their job channel between rounds, and each round receive
+//!   ownership of their node chunk (a few `Vec` headers), step it, and
+//!   hand it back. The per-round hand-off is a channel send, so even
+//!   small cliques parallelize profitably (see
+//!   [`PARALLEL_AUTO_THRESHOLD`] and [`PARALLEL_MIN_CHUNK`]). The pool
+//!   outlives the *run* too: workers are type-erased and parked between
+//!   runs, so a batch of protocol runs — even of different protocols —
+//!   spawns no threads at all after the first.
 //!
 //! Every mode — [`ExecMode::Sequential`], [`ExecMode::Parallel`], the
 //!   default [`ExecMode::Auto`], and [`ExecMode::SeedReference`] (the
@@ -83,13 +80,12 @@
 //!   classified as [`SimError::MessageToFinishedNode`] at the lowest
 //!   in-range destination or [`SimError::DestinationOutOfRange`] when the
 //!   sender queued only out-of-range destinations. Select a mode with
-//!   [`CliqueSpec::with_exec`]; disabling the `parallel` feature removes
-//!   the threaded code entirely and every mode degrades to sequential.
+//!   [`CliqueSpec::with_exec`].
 //!
 //! ## Example
 //!
 //! ```rust
-//! use cc_sim::{CliqueSpec, Ctx, Inbox, NodeId, NodeMachine, Payload, Simulator, Step};
+//! use cc_sim::{run_protocol, CliqueSpec, Ctx, Inbox, NodeMachine, Payload, Step};
 //!
 //! /// Every node sends its id to every other node and sums what it hears.
 //! struct SumIds;
@@ -124,8 +120,7 @@
 //!
 //! # fn main() -> Result<(), cc_sim::SimError> {
 //! let n = 8;
-//! let machines = (0..n).map(|_| SumIds).collect();
-//! let report = Simulator::new(CliqueSpec::new(n)?, machines)?.run()?;
+//! let report = run_protocol(CliqueSpec::new(n)?, |_| SumIds)?;
 //! assert_eq!(report.metrics.comm_rounds(), 1);
 //! assert!(report.outputs.iter().all(|&s| s == (0..n as u64).sum()));
 //! # Ok(())
@@ -142,7 +137,6 @@ mod inbox;
 mod metrics;
 mod node;
 mod payload;
-#[cfg(feature = "parallel")]
 mod pool;
 mod session;
 mod spec;
@@ -154,7 +148,7 @@ pub mod util;
 pub mod wire;
 
 pub use common::{CommonCache, CommonScope};
-pub use engine::{run_protocol, BaseCtx, Ctx, NodeMachine, RunReport, Simulator, Step};
+pub use engine::{run_protocol, BaseCtx, Ctx, NodeMachine, RunReport, Step};
 pub use error::SimError;
 pub use inbox::Inbox;
 pub use metrics::{EdgeLoadHistogram, Metrics, RoundMetrics};

@@ -5,9 +5,8 @@ use crate::util::word_bits;
 /// The congested-clique model (§2 of the paper) limits each message to
 /// `O(log n)` bits — "a constant number of integer numbers that are
 /// polynomially bounded in n". Every payload type declares the number of
-/// bits its encoding occupies on the wire; the [`Simulator`](crate::Simulator)
-/// sums these per directed edge per round and enforces the configured
-/// budget.
+/// bits its encoding occupies on the wire; the engine sums these per
+/// directed edge per round and enforces the configured budget.
 ///
 /// Implementations must return an upper bound on the size of an actual
 /// encoding of the value (the [`wire`](crate::wire) module is used in tests

@@ -40,42 +40,17 @@
 //! All working memory lives in a [`RadixScratch`]: callers on the engine's
 //! persistent worker threads go through a thread-local scratch that
 //! survives rounds *and* runs (the threads are parked between runs, like
-//! the inbox/outbox piles), and a
-//! [`CliqueSession`](crate::CliqueSession) owns one for its public sort
-//! surface. Steady-state sorts allocate nothing.
-//!
-//! ## Parallel driver
-//!
-//! With the `parallel` feature, large sorts fan out over the session's
-//! parked workers (see `CliqueSession::sort_by_u64_key`): the keyed
-//! pairs are split
-//! into per-worker chunks, each worker histograms and locally groups its
-//! chunk per pass, and the driving thread merges the chunk histograms
-//! with a scan and reassembles bucket-major in chunk order. Chunk
-//! boundaries are fixed and reassembly order is positional, so the
-//! parallel driver is observably identical to the sequential one.
+//! the inbox/outbox piles), and callers that own a scratch pass it to the
+//! `*_with` variants. Steady-state sorts allocate nothing.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::node::NodeId;
 
-/// Bits consumed per pass by the fixed-digit paths (the parallel driver's
-/// chunk histograms; the sequential path sizes its digits adaptively).
-pub const RADIX_BITS: u32 = 8;
-
-/// Buckets per digit (`2^RADIX_BITS`).
-pub const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
-
-/// Passes needed to cover a full `u64` key (the parallel driver's
-/// fixed-width histograms; unused without the `parallel` feature).
-#[cfg(feature = "parallel")]
-const RADIX_PASSES: usize = (u64::BITS / RADIX_BITS) as usize;
-
-/// Widest digit the adaptive sequential sort will use: 2^11 bucket
-/// counters (16 KiB) still sit comfortably in cache while cutting the
-/// pass count for the common 16–24-bit bounded key spans from three to
-/// two.
+/// Widest digit the adaptive sort will use: 2^11 bucket counters
+/// (16 KiB) still sit comfortably in cache while cutting the pass count
+/// for the common 16–24-bit bounded key spans from three to two.
 const MAX_DIGIT_BITS: u32 = 11;
 
 /// Below this length the stable comparison sort is used instead: a radix
@@ -83,10 +58,6 @@ const MAX_DIGIT_BITS: u32 = 11;
 /// batches (the common case for per-sender fan-out) are cheaper to
 /// merge-sort than to histogram.
 pub const RADIX_MIN_LEN: usize = 64;
-
-/// Minimum elements per worker chunk before the parallel driver engages;
-/// below this the channel hand-off costs more than the scatter it splits.
-pub const PARALLEL_SORT_MIN_CHUNK: usize = 512;
 
 /// Sentinel marking an index-column entry as already placed during the
 /// cycle-following permutation apply. Inputs longer than `u32::MAX`
@@ -173,12 +144,6 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut RadixScratch) -> R) -> R {
 #[inline]
 fn use_comparison(len: usize) -> bool {
     len < RADIX_MIN_LEN || len > u32::MAX as usize || !radix_enabled()
-}
-
-#[cfg(feature = "parallel")]
-#[inline]
-fn digit(key: u64, shift: u32) -> usize {
-    ((key >> shift) & (RADIX_BUCKETS as u64 - 1)) as usize
 }
 
 /// Stable sort of `items` by a `u64` key, on the calling thread's
@@ -283,7 +248,7 @@ pub(crate) fn group_by_destination<M: Clone>(
     batch[valid..].sort_by_key(|(dst, _)| *dst);
 }
 
-/// The sequential radix path: build the keyed column, LSD-sort it, apply
+/// The radix path: build the keyed column, LSD-sort it, apply
 /// the resulting permutation to the payloads.
 fn radix_sort_impl<T: Clone, F: Fn(&T) -> u64>(
     items: &mut [T],
@@ -429,183 +394,6 @@ fn apply_permutation<T: Clone>(items: &mut [T], keyed: &mut [(u64, u32)]) {
     }
 }
 
-/// One job's result on the parallel path: a chunk of the keyed column
-/// plus the histogram(s) computed over it.
-#[cfg(feature = "parallel")]
-type KeyedJobResult = (Vec<(u64, u32)>, Vec<usize>);
-
-/// The session-pooled radix path: as [`sort_by_u64_key_with`], but large
-/// inputs fan the per-pass count/group work out over `workers` chunks on
-/// the session's parked worker threads. Falls back to the sequential
-/// radix (or comparison) path when the input is too small to split.
-/// Output is bit-identical to the sequential path.
-#[cfg(feature = "parallel")]
-pub(crate) fn sort_by_u64_key_pooled<T: Clone, F: Fn(&T) -> u64>(
-    items: &mut [T],
-    key: F,
-    workers: usize,
-    scratch: &mut RadixScratch,
-    pool: &mut crate::pool::SessionPool,
-) {
-    if use_comparison(items.len()) {
-        items.sort_by_key(key);
-        return;
-    }
-    let workers = workers.clamp(1, items.len());
-    if workers == 1 {
-        radix_sort_impl(items, &key, scratch);
-        return;
-    }
-    scratch.keyed.clear();
-    scratch
-        .keyed
-        .extend(items.iter().enumerate().map(|(i, t)| (key(t), i as u32)));
-    sort_keyed_parallel(&mut scratch.keyed, workers, pool);
-    apply_permutation(items, &mut scratch.keyed);
-}
-
-/// Fixed chunk boundaries for the whole sort: like the engine's
-/// `ChunkSplit`, sizes depend only on `(len, workers)`, which is what
-/// makes the parallel reassembly deterministic.
-#[cfg(feature = "parallel")]
-fn chunk_sizes(len: usize, workers: usize) -> Vec<usize> {
-    let base = len / workers;
-    let rem = len % workers;
-    (0..workers).map(|c| base + usize::from(c < rem)).collect()
-}
-
-/// Chunked-parallel LSD sort of the keyed column.
-///
-/// Phase A: each worker receives ownership of its chunk (pairs travel by
-/// value through the job channel — same `forbid(unsafe_code)` discipline
-/// as the stepping pools) and histograms all digits at once. The driver
-/// merges the chunk histograms to decide which passes are non-trivial.
-///
-/// Per pass: each worker stably groups its chunk by the current digit and
-/// reports the grouped chunk plus its per-bucket counts; the driver
-/// reassembles bucket-major in chunk order — an exclusive scan over the
-/// `(bucket, chunk)` count matrix — writing directly into the next round
-/// of chunks. Stability: within a bucket, chunk order equals original
-/// order, and within a chunk the local grouping is stable.
-#[cfg(feature = "parallel")]
-fn sort_keyed_parallel(
-    keyed: &mut Vec<(u64, u32)>,
-    workers: usize,
-    pool: &mut crate::pool::SessionPool,
-) {
-    let len = keyed.len();
-    let sizes = chunk_sizes(len, workers);
-    let mut chunks: Vec<Vec<(u64, u32)>> = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    for &size in &sizes {
-        chunks.push(keyed[start..start + size].to_vec());
-        start += size;
-    }
-
-    // Phase A: all-pass histograms, one job per chunk.
-    let jobs: Vec<Box<dyn FnOnce() -> KeyedJobResult + Send + 'static>> = chunks
-        .into_iter()
-        .map(|chunk| {
-            Box::new(move || {
-                let mut hist = vec![0usize; RADIX_PASSES * RADIX_BUCKETS];
-                for &(key, _) in &chunk {
-                    let mut rest = key;
-                    for pass in 0..RADIX_PASSES {
-                        hist[pass * RADIX_BUCKETS
-                            + (rest & (RADIX_BUCKETS as u64 - 1)) as usize] += 1;
-                        rest >>= RADIX_BITS;
-                    }
-                }
-                (chunk, hist)
-            }) as Box<dyn FnOnce() -> KeyedJobResult + Send + 'static>
-        })
-        .collect();
-    let mut phase_a = pool.run_jobs(jobs);
-    let mut global = vec![0usize; RADIX_PASSES * RADIX_BUCKETS];
-    for (_, hist) in &phase_a {
-        for (total, count) in global.iter_mut().zip(hist) {
-            *total += count;
-        }
-    }
-    let mut chunks: Vec<Vec<(u64, u32)>> = phase_a.drain(..).map(|(chunk, _)| chunk).collect();
-
-    for pass in 0..RADIX_PASSES {
-        let hist = &global[pass * RADIX_BUCKETS..(pass + 1) * RADIX_BUCKETS];
-        if hist.contains(&len) {
-            continue;
-        }
-        let shift = pass as u32 * RADIX_BITS;
-
-        // Workers: stable local grouping of each chunk by this digit.
-        let jobs: Vec<Box<dyn FnOnce() -> KeyedJobResult + Send + 'static>> =
-            std::mem::take(&mut chunks)
-                .into_iter()
-                .map(|chunk| {
-                    Box::new(move || {
-                        let mut counts = vec![0usize; RADIX_BUCKETS];
-                        for &(key, _) in &chunk {
-                            counts[digit(key, shift)] += 1;
-                        }
-                        let mut offsets = [0usize; RADIX_BUCKETS];
-                        let mut running = 0usize;
-                        for (slot, &count) in offsets.iter_mut().zip(&counts) {
-                            *slot = running;
-                            running += count;
-                        }
-                        let mut grouped = vec![(0u64, PLACED); chunk.len()];
-                        for &pair in &chunk {
-                            let bucket = digit(pair.0, shift);
-                            grouped[offsets[bucket]] = pair;
-                            offsets[bucket] += 1;
-                        }
-                        (grouped, counts)
-                    }) as Box<dyn FnOnce() -> KeyedJobResult + Send + 'static>
-                })
-                .collect();
-        let grouped = pool.run_jobs(jobs);
-
-        // Driver: deterministic bucket-major reassembly straight into the
-        // next round's chunks (chunk boundaries are fixed, so the global
-        // scatter and the re-split are one copy).
-        let starts: Vec<[usize; RADIX_BUCKETS]> = grouped
-            .iter()
-            .map(|(_, counts)| {
-                let mut offsets = [0usize; RADIX_BUCKETS];
-                let mut running = 0usize;
-                for (slot, &count) in offsets.iter_mut().zip(counts) {
-                    *slot = running;
-                    running += count;
-                }
-                offsets
-            })
-            .collect();
-        let mut next: Vec<Vec<(u64, u32)>> =
-            sizes.iter().map(|&size| Vec::with_capacity(size)).collect();
-        let mut cur = 0usize;
-        for bucket in 0..RADIX_BUCKETS {
-            for (chunk_idx, (grouped_chunk, counts)) in grouped.iter().enumerate() {
-                let seg_start = starts[chunk_idx][bucket];
-                let mut segment = &grouped_chunk[seg_start..seg_start + counts[bucket]];
-                while !segment.is_empty() {
-                    if next[cur].len() == sizes[cur] {
-                        cur += 1;
-                        continue;
-                    }
-                    let take = (sizes[cur] - next[cur].len()).min(segment.len());
-                    next[cur].extend_from_slice(&segment[..take]);
-                    segment = &segment[take..];
-                }
-            }
-        }
-        chunks = next;
-    }
-
-    keyed.clear();
-    for chunk in &chunks {
-        keyed.extend_from_slice(chunk);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,29 +462,5 @@ mod tests {
         let mut keyed: Vec<(u64, u32)> = vec![(0, 4), (0, 3), (0, 2), (0, 1), (0, 0)];
         apply_permutation(&mut items, &mut keyed);
         assert_eq!(items, vec![14, 13, 12, 11, 10]);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn pooled_driver_matches_sequential() {
-        let mut pool = crate::pool::SessionPool::default();
-        let mut scratch = RadixScratch::new();
-        let mut state = 7u64;
-        let keys: Vec<u64> = (0..1000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state >> 20
-            })
-            .collect();
-        let mut sequential = pairs(&keys);
-        let mut expected = sequential.clone();
-        expected.sort_by_key(|&(k, _)| k);
-        let mut pooled = sequential.clone();
-        sort_by_u64_key_with(&mut sequential, |&(k, _)| k, &mut scratch);
-        sort_by_u64_key_pooled(&mut pooled, |&(k, _)| k, 3, &mut scratch, &mut pool);
-        assert_eq!(sequential, expected);
-        assert_eq!(pooled, expected);
     }
 }

@@ -1,14 +1,13 @@
-//! Persistent clique sessions: one simulator substrate serving many
-//! protocol runs.
+//! Clique sessions: the simulator's one engine handle, serving one
+//! protocol run or many.
 //!
-//! A [`Simulator`](crate::Simulator) is one-shot: every run spawns its
-//! stepping workers, allocates every inbox/outbox buffer and the delivery
-//! scratch, and throws all of it away with the [`RunReport`]. For a
-//! single long run that setup is noise; for a *service* answering
+//! A run needs stepping workers (when its [`ExecMode`] resolves to more
+//! than one), inbox/outbox buffers and the delivery scratch. For a single
+//! long run that setup is noise, and [`run_protocol`](crate::run_protocol)
+//! simply runs on a fresh session and drops it. For a *service* answering
 //! millions of constant-round queries (the regime of Lenzen's protocols —
-//! 16-round routing, 33-round sorting), it is the dominant cost.
-//!
-//! A [`CliqueSession`] keeps the expensive parts alive between runs:
+//! 16-round routing, 33-round sorting), it is the dominant cost, so a
+//! [`CliqueSession`] keeps the expensive parts alive between runs:
 //!
 //! * **worker threads** are spawned once per session and parked between
 //!   runs as well as between rounds (see `pool::SessionPool`) — the jobs
@@ -23,10 +22,9 @@
 //!
 //! Determinism is the contract: for every protocol and every
 //! [`ExecMode`], a reused session produces a [`RunReport`] **bit-identical**
-//! to a fresh [`Simulator`](crate::Simulator) — recycling only ever
-//! returns *cleared* buffers, the cache starts every run empty, and the
-//! chunk partition and stepping semantics are shared with the one-shot
-//! engine. A failed run ([`SimError`]) does not poison the session: its
+//! to a fresh session — recycling only ever returns *cleared* buffers, the
+//! cache starts every run empty, and the chunk partition depends only on
+//! the spec. A failed run ([`SimError`]) does not poison the session: its
 //! buffers are recycled like any other and the next run starts from the
 //! same clean state.
 
@@ -154,10 +152,10 @@ impl<O> BatchReport<O> {
     }
 }
 
-/// A reusable simulation substrate: worker threads, message-buffer piles,
+/// The simulation substrate: worker threads, message-buffer piles,
 /// delivery scratch and the common-knowledge cache all survive across
-/// protocol runs. See the [crate documentation](crate) for when to prefer
-/// a session over a one-shot [`Simulator`](crate::Simulator).
+/// protocol runs. Drop it to join its workers;
+/// [`run_protocol`](crate::run_protocol) is the one-run shorthand.
 ///
 /// ```rust
 /// use cc_sim::{CliqueSession, CliqueSpec, Ctx, Inbox, NodeMachine, Step};
@@ -191,16 +189,11 @@ pub struct CliqueSession {
     /// Shared so `'static` session workers can hold it across a round;
     /// contents are reset before every run.
     common: Arc<CommonCache>,
-    #[cfg(feature = "parallel")]
     pool: crate::pool::SessionPool,
     /// Cleared, capacity-retaining message buffers, one pile per message
     /// type (different protocols recycle independently).
     piles: HashMap<TypeId, Box<dyn Any + Send>>,
     scratch: DeliveryScratch,
-    /// Recycled working memory for the session's public radix-sort
-    /// surface ([`CliqueSession::sort_by_u64_key`]) — like the message
-    /// piles, it keeps its capacity run-to-run.
-    radix: crate::radix::RadixScratch,
     stats: SessionStats,
 }
 
@@ -229,29 +222,40 @@ impl CliqueSession {
     /// Number of live stepping workers (0 until a parallel run spawned
     /// some; the pool never shrinks).
     pub fn worker_threads(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.pool.workers()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            0
-        }
+        self.pool.workers()
     }
 
-    /// Runs one protocol instance on the session's recycled substrate.
+    /// Runs one protocol instance to completion on the session's recycled
+    /// substrate.
     ///
-    /// Observable behavior — outputs, metrics, and errors — is
-    /// bit-identical to `Simulator::new(spec, machines)?.run()` in every
-    /// [`ExecMode`]; only setup cost differs. The `'static` bounds exist
-    /// because session workers outlive any single run (a one-shot
-    /// [`Simulator`](crate::Simulator) has no such requirement).
+    /// The execution mode comes from [`CliqueSpec::exec`]; every mode
+    /// produces a bit-identical [`RunReport`] for a deterministic
+    /// protocol, on a fresh session or a reused one — only wall-clock
+    /// time differs. The `'static` bounds exist because session workers
+    /// outlive any single run.
     ///
     /// # Errors
     ///
-    /// Exactly those of [`Simulator::run`](crate::Simulator::run), plus
-    /// [`SimError::NodeCountMismatch`] from construction. An error leaves
-    /// the session fully reusable.
+    /// * [`SimError::NodeCountMismatch`] — `machines.len() != spec.n()`.
+    /// * [`SimError::BudgetExceeded`] — a directed edge carried more bits
+    ///   in one round than the spec allows.
+    /// * [`SimError::TooManyRounds`] — the configured round limit was hit.
+    /// * [`SimError::Stalled`] — a round passed with no messages and no
+    ///   node finishing.
+    /// * [`SimError::MessageToFinishedNode`] /
+    ///   [`SimError::DestinationOutOfRange`] — protocol addressing bugs.
+    ///
+    /// Model violations are detected during the (always sequential)
+    /// delivery pass, scanning senders in ascending order and each
+    /// sender's destinations in ascending order — so the reported
+    /// violation is the lowest `(src, dst)` pair, independent of how many
+    /// stepping workers the mode resolves to. Messages still queued when
+    /// every node has finished follow the same rule: the lowest-id sender
+    /// is reported with its lowest queued in-range destination
+    /// ([`SimError::MessageToFinishedNode`]), or — when every queued
+    /// destination is out of range — with its lowest out-of-range one
+    /// ([`SimError::DestinationOutOfRange`]). An error leaves the session
+    /// fully reusable.
     pub fn run<N>(
         &mut self,
         spec: CliqueSpec,
@@ -280,7 +284,7 @@ impl CliqueSession {
     }
 
     /// As [`CliqueSession::run`], building machines with a closure of the
-    /// node id — the session-flavored [`run_protocol`](crate::run_protocol).
+    /// node id.
     ///
     /// # Errors
     ///
@@ -322,8 +326,8 @@ impl CliqueSession {
         }
     }
 
-    /// The mode dispatch of [`Simulator::run`](crate::Simulator::run),
-    /// against session-owned arenas instead of fresh ones.
+    /// The mode dispatch of [`CliqueSession::run`]: the seed engine, or
+    /// the optimized engine against the session-owned arenas.
     fn run_prepared<N>(
         &mut self,
         spec: &CliqueSpec,
@@ -372,7 +376,6 @@ impl CliqueSession {
     {
         let n = spec.n();
         let common = Arc::clone(&self.common);
-        #[cfg(feature = "parallel")]
         if chunks.len() > 1 {
             let pool = &mut self.pool;
             pool.ensure_workers(chunks.len());
@@ -395,67 +398,6 @@ impl CliqueSession {
         )
     }
 
-    /// Stable sort of `items` by a `u64` key on the session's recycled
-    /// radix scratch (see [`crate::radix`]): count → exclusive scan →
-    /// scatter above the radix threshold, the stable comparison sort
-    /// below it — both preserve equal-key input order, so results are
-    /// identical either way.
-    ///
-    /// Large inputs additionally fan the per-pass counting and grouping
-    /// out over the session's parked worker threads (one chunk per
-    /// worker, merged deterministically — bit-identical to the
-    /// sequential path); small inputs run inline. Use
-    /// [`CliqueSession::sort_by_u64_key_on`] to pin the worker count.
-    pub fn sort_by_u64_key<T: Clone, F>(&mut self, items: &mut [T], key: F)
-    where
-        F: Fn(&T) -> u64,
-    {
-        #[cfg(feature = "parallel")]
-        {
-            let workers = Self::auto_sort_workers(items.len());
-            crate::radix::sort_by_u64_key_pooled(
-                items,
-                key,
-                workers,
-                &mut self.radix,
-                &mut self.pool,
-            );
-        }
-        #[cfg(not(feature = "parallel"))]
-        crate::radix::sort_by_u64_key_with(items, key, &mut self.radix);
-    }
-
-    /// As [`CliqueSession::sort_by_u64_key`], forcing the chunked
-    /// parallel driver to use exactly `workers` chunks (growing the
-    /// session pool if needed) instead of sizing from the host core
-    /// count — the sort-path analogue of `ExecMode::Parallel { threads }`.
-    /// Inputs below the radix threshold still sort inline.
-    #[cfg(feature = "parallel")]
-    pub fn sort_by_u64_key_on<T: Clone, F>(&mut self, workers: usize, items: &mut [T], key: F)
-    where
-        F: Fn(&T) -> u64,
-    {
-        crate::radix::sort_by_u64_key_pooled(
-            items,
-            key,
-            workers.max(1),
-            &mut self.radix,
-            &mut self.pool,
-        );
-    }
-
-    /// One chunk per core, but never chunks smaller than the hand-off
-    /// cost can amortize.
-    #[cfg(feature = "parallel")]
-    fn auto_sort_workers(len: usize) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        cores
-            .min(len / crate::radix::PARALLEL_SORT_MIN_CHUNK)
-            .max(1)
-    }
-
     /// Takes the recycled-buffer pile for message type `M` out of the
     /// session (an empty pile on the first run of a type). The pile is
     /// keyed — and its `Box<dyn Any>` downcast guaranteed — by `M`'s
@@ -475,7 +417,7 @@ impl CliqueSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Ctx, Simulator, Step};
+    use crate::engine::{Ctx, Step};
     use crate::inbox::Inbox;
 
     /// All-to-all broadcast for `rounds` rounds; output is the running sum.
@@ -551,13 +493,12 @@ mod tests {
         let n = 12;
         let mut session = CliqueSession::new();
         for round_count in [1u32, 3, 2] {
-            let fresh = Simulator::new(
-                spec(n, ExecMode::Sequential),
-                Chatter::fleet(n, round_count),
-            )
-            .unwrap()
-            .run()
-            .unwrap();
+            let fresh = CliqueSession::new()
+                .run(
+                    spec(n, ExecMode::Sequential),
+                    Chatter::fleet(n, round_count),
+                )
+                .unwrap();
             let reused = session
                 .run(
                     spec(n, ExecMode::Sequential),
@@ -738,7 +679,6 @@ mod tests {
         assert_eq!(timed.runs_per_sec(), 2.0);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_session_reuses_workers_across_runs() {
         let n = 16;
@@ -746,9 +686,8 @@ mod tests {
         let mode = ExecMode::Parallel { threads: 3 };
         let first = session.run(spec(n, mode), Chatter::fleet(n, 2)).unwrap();
         assert_eq!(session.worker_threads(), 3);
-        let fresh = Simulator::new(spec(n, mode), Chatter::fleet(n, 2))
-            .unwrap()
-            .run()
+        let fresh = CliqueSession::new()
+            .run(spec(n, mode), Chatter::fleet(n, 2))
             .unwrap();
         assert_eq!(first, fresh);
         // A wider run grows the pool; a narrower one reuses a subset.

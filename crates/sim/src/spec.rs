@@ -5,16 +5,16 @@ use crate::util::word_bits;
 /// `on_round` calls on a few dozen nodes finishes faster than the worker
 /// hand-off costs.
 ///
-/// Workers are persistent and parked between rounds (see the engine's
-/// worker pool), so the hand-off is a channel send rather than a thread
-/// spawn.
+/// Workers belong to the [`CliqueSession`](crate::CliqueSession) and are
+/// parked between rounds, so the hand-off is a channel send rather than a
+/// thread spawn.
 pub const PARALLEL_AUTO_THRESHOLD: usize = 64;
 
 /// Minimum nodes per worker chunk that [`ExecMode::Auto`] will schedule.
 ///
-/// Workers are spawned once per run and parked between rounds, so a chunk
-/// only has to amortize a channel hand-off (microseconds), not a thread
-/// spawn/join. Explicit [`ExecMode::Parallel`] counts are honored as given.
+/// Workers are parked between rounds, so a chunk only has to amortize a
+/// channel hand-off (microseconds), not a thread spawn/join. Explicit
+/// [`ExecMode::Parallel`] counts are honored as given.
 pub const PARALLEL_MIN_CHUNK: usize = 8;
 
 /// How the engine executes a run.
@@ -27,19 +27,18 @@ pub const PARALLEL_MIN_CHUNK: usize = 8;
 /// never observable behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Threaded stepping when the `parallel` feature is enabled, the host
-    /// has more than one core, and the clique has at least
-    /// [`PARALLEL_AUTO_THRESHOLD`] nodes; sequential otherwise. The worker
+    /// Threaded stepping when the host has more than one core and the
+    /// clique has at least [`PARALLEL_AUTO_THRESHOLD`] nodes; sequential
+    /// otherwise. The worker
     /// count is capped so each chunk holds at least
     /// [`PARALLEL_MIN_CHUNK`] nodes.
     #[default]
     Auto,
     /// Single-threaded stepping (still uses the bucketed delivery path).
     Sequential,
-    /// Step nodes on exactly `threads` persistent pooled workers (`0` =
-    /// one per available core); workers are spawned once per run and
-    /// parked between rounds. Without the `parallel` feature this
-    /// degrades to [`ExecMode::Sequential`].
+    /// Step nodes on exactly `threads` pooled workers (`0` = one per
+    /// available core, clamped to the clique size); the session spawns
+    /// them on first use and parks them between rounds and runs.
     Parallel {
         /// Number of stepping workers; `0` selects one per available core.
         threads: usize,
@@ -68,7 +67,7 @@ impl ExecMode {
         match self {
             ExecMode::Sequential | ExecMode::SeedReference => 1,
             ExecMode::Auto => {
-                if !cfg!(feature = "parallel") || n < PARALLEL_AUTO_THRESHOLD {
+                if n < PARALLEL_AUTO_THRESHOLD {
                     1
                 } else {
                     // Cap workers so every chunk amortizes its per-round
@@ -77,9 +76,6 @@ impl ExecMode {
                 }
             }
             ExecMode::Parallel { threads } => {
-                if !cfg!(feature = "parallel") {
-                    return 1;
-                }
                 let t = if threads == 0 { cores() } else { threads };
                 t.clamp(1, n.max(1))
             }
@@ -280,13 +276,9 @@ mod tests {
             ExecMode::Auto.worker_threads(PARALLEL_AUTO_THRESHOLD - 1),
             1
         );
-        if cfg!(feature = "parallel") {
-            // Explicit thread counts are honored (clamped to n).
-            assert_eq!(ExecMode::Parallel { threads: 3 }.worker_threads(1024), 3);
-            assert_eq!(ExecMode::Parallel { threads: 64 }.worker_threads(8), 8);
-            assert!(ExecMode::Parallel { threads: 0 }.worker_threads(1024) >= 1);
-        } else {
-            assert_eq!(ExecMode::Parallel { threads: 3 }.worker_threads(1024), 1);
-        }
+        // Explicit thread counts are honored (clamped to n).
+        assert_eq!(ExecMode::Parallel { threads: 3 }.worker_threads(1024), 3);
+        assert_eq!(ExecMode::Parallel { threads: 64 }.worker_threads(8), 8);
+        assert!(ExecMode::Parallel { threads: 0 }.worker_threads(1024) >= 1);
     }
 }

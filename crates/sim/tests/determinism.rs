@@ -36,7 +36,7 @@ fn error_modes() -> Vec<ExecMode> {
 
 /// Runs `make` under every error-suite mode and returns the per-mode
 /// errors, asserting the run really failed.
-fn errors_for<N: NodeMachine>(
+fn errors_for<N: NodeMachine + 'static>(
     base: CliqueSpec,
     make: impl Fn(NodeId) -> N + Copy,
 ) -> Vec<(ExecMode, SimError)> {
@@ -63,7 +63,7 @@ fn assert_errors_identical(errors: &[(ExecMode, SimError)]) {
     }
 }
 
-fn reports_for<N: NodeMachine>(
+fn reports_for<N: NodeMachine + 'static>(
     base: CliqueSpec,
     make: impl Fn(NodeId) -> N + Copy,
 ) -> Vec<RunReport<N::Output>> {

@@ -281,9 +281,7 @@ fn worker_panic_propagates_under_pooled_stepping() {
     }
 
     // 8 nodes on 4 workers: node 0 panics in round 1 while the other
-    // three workers' nodes are still mid-protocol. (Without the
-    // `parallel` feature this degrades to sequential, where propagation
-    // is trivially direct — the assertion still holds.)
+    // three workers' nodes are still mid-protocol.
     let result = std::panic::catch_unwind(|| {
         let _ = run_protocol(
             CliqueSpec::new(8)

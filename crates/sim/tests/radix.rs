@@ -43,9 +43,9 @@ fn uniform(rng: &mut DetRng, len: usize, mask: u64) -> Vec<u64> {
 }
 
 /// A simple Zipf-like sampler (the same inverse-power shape
-/// `cc-workloads::zipf_keys` uses; duplicated here because `cc-sim`
-/// cannot dev-depend on `cc-workloads` without re-unifying the
-/// `parallel` feature the no-default-features CI lane turns off).
+/// `cc-workloads::zipf_keys` uses; duplicated here because
+/// `cc-workloads` depends on `cc-sim`, whose only dev-dependency is
+/// `cc-rand`).
 fn zipf(rng: &mut DetRng, len: usize, universe: u64) -> Vec<u64> {
     (0..len)
         .map(|_| {

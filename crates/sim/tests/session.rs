@@ -1,17 +1,17 @@
 //! Session-reuse determinism: a [`CliqueSession`] reused across many
 //! runs — including runs of *different* protocols and runs that fail —
-//! must produce `RunReport`s bit-identical to a fresh [`Simulator`] for
-//! every execution mode. This is the contract that lets the service
+//! must produce `RunReport`s bit-identical to a fresh session for every
+//! execution mode. This is the contract that lets the service
 //! layer (`cc-core`'s `CliqueService`) amortize setup without ever
 //! changing an answer.
 
 use cc_sim::{
-    CliqueSession, CliqueSpec, Ctx, ExecMode, Inbox, NodeId, NodeMachine, Payload, RunReport,
-    SimError, Simulator, Step,
+    run_protocol, CliqueSession, CliqueSpec, Ctx, ExecMode, Inbox, NodeId, NodeMachine, Payload,
+    RunReport, SimError, Step,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Every mode the session must agree with a fresh simulator on.
+/// Every mode the session must agree with a fresh session on.
 fn all_modes() -> Vec<ExecMode> {
     vec![
         ExecMode::Auto,
@@ -111,20 +111,19 @@ fn spec(n: usize, mode: ExecMode) -> CliqueSpec {
 }
 
 fn fresh_report(n: usize, mode: ExecMode, rounds: u32) -> RunReport<u64> {
-    Simulator::new(spec(n, mode), mixers(n, rounds))
-        .unwrap()
-        .run()
+    CliqueSession::new()
+        .run(spec(n, mode), mixers(n, rounds))
         .unwrap()
 }
 
 /// The tentpole assertion: one session, reused across every mode and
-/// several workload shapes, against a fresh simulator each time.
+/// several workload shapes, against a fresh session each time.
 #[test]
 fn reused_session_is_bit_identical_to_fresh_simulator_in_every_mode() {
     let n = 24;
     let mut session = CliqueSession::new();
     // Reuse the session across modes *and* run shapes; every single
-    // answer must match its fresh-simulator twin, including metrics,
+    // answer must match its fresh-session twin, including metrics,
     // histograms and per-node work meters (RunReport compares by value).
     for round_count in [1u32, 4] {
         for mode in all_modes() {
@@ -151,7 +150,7 @@ fn session_survives_changing_clique_sizes() {
 }
 
 /// A failed run mid-batch must not change any later answer: the error
-/// itself must be identical to the fresh simulator's, and follow-up runs
+/// itself must be identical to the fresh session's, and follow-up runs
 /// must still be bit-identical in every mode.
 #[test]
 fn failed_run_mid_batch_does_not_poison_the_session() {
@@ -159,10 +158,7 @@ fn failed_run_mid_batch_does_not_poison_the_session() {
     let mut session = CliqueSession::new();
     for mode in all_modes() {
         let before = session.run(spec(n, mode), mixers(n, 2)).unwrap();
-        let fresh_err = Simulator::new(spec(2, mode), vec![Poisoner { me: 0 }, Poisoner { me: 1 }])
-            .unwrap()
-            .run()
-            .unwrap_err();
+        let fresh_err = run_protocol(spec(2, mode), |me| Poisoner { me: me.index() }).unwrap_err();
         let session_err = session
             .run(spec(2, mode), vec![Poisoner { me: 0 }, Poisoner { me: 1 }])
             .unwrap_err();
@@ -206,10 +202,7 @@ fn interleaved_protocols_stay_bit_identical() {
         let pulses = session
             .run(spec(n, mode), (0..n).map(|_| Pulse).collect())
             .unwrap();
-        let fresh_pulses = Simulator::new(spec(n, mode), (0..n).map(|_| Pulse).collect())
-            .unwrap()
-            .run()
-            .unwrap();
+        let fresh_pulses = run_protocol(spec(n, mode), |_| Pulse).unwrap();
         assert_eq!(pulses, fresh_pulses);
     }
 }
@@ -217,7 +210,7 @@ fn interleaved_protocols_stay_bit_identical() {
 /// A protocol panic inside a parallel stepping worker aborts only that
 /// run: the driver drains every in-flight job before re-raising, so no
 /// stale worker can touch the session's shared state after the next run
-/// has reset it — later answers stay bit-identical to fresh simulators.
+/// has reset it — later answers stay bit-identical to fresh sessions.
 #[test]
 fn worker_panic_aborts_the_run_but_not_the_session() {
     struct Bomb {
@@ -253,7 +246,7 @@ fn worker_panic_aborts_the_run_but_not_the_session() {
 /// A panic unwinding out of the *delivery* pass (a user `size_bits`)
 /// must not leave stale per-destination counters in the session scratch:
 /// later runs still validate and meter every destination exactly like a
-/// fresh simulator.
+/// fresh session.
 #[test]
 fn delivery_pass_panic_does_not_leave_stale_scratch() {
     #[derive(Clone, Debug)]
@@ -293,14 +286,13 @@ fn delivery_pass_panic_does_not_leave_stale_scratch() {
     let mode = ExecMode::Sequential;
     let mut session = CliqueSession::new();
     let clean = |poison| (0..n).map(move |_| Spray { poison }).collect::<Vec<_>>();
-    let fresh = Simulator::new(spec(n, mode), clean(false))
-        .unwrap()
-        .run()
+    let fresh = CliqueSession::new()
+        .run(spec(n, mode), clean(false))
         .unwrap();
     let panicked = catch_unwind(AssertUnwindSafe(|| session.run(spec(n, mode), clean(true))));
     assert!(panicked.is_err(), "the poisoned payload must propagate");
     // Same destinations, clean payloads: every message must be delivered,
-    // metered and budget-checked exactly like on a fresh simulator.
+    // metered and budget-checked exactly like on a fresh session.
     let recovered = session.run(spec(n, mode), clean(false)).unwrap();
     assert_eq!(fresh, recovered);
 }
